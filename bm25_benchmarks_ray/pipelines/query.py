@@ -10,16 +10,24 @@ single-process ``model.retrieve`` cannot express,
 2. One broadcast object (``ray.put``) carries every query's term/idf
    structure to all scoring tasks — read zero-copy per task, never
    re-shipped per batch.
-3. A ``map_batches`` task per index *group* scores all queries against
-   its disjoint doc range: segment rows are read with a
-   ``term isin(query_terms)`` parquet filter (row-group pruning; only
-   query-term postings are ever decoded), contributions are accumulated
-   vectorized (np.bincount over unique candidate docs), and the task
-   emits its local top-k per query — k rows, not a score vector.
-4. ``groupby(qid)`` merges the per-group partials (Q × k × n_groups tiny
-   rows — the only query-time shuffle) into the final ranking with
-   (score desc, doc_id asc) tie normalization (the reference's
-   argpartition tie order is unspecified, on_rank_bm25.py:32).
+3. One plain Ray task (``score_slice``) per (group, doc slice, query
+   batch) scores its queries against a disjoint doc range: segment
+   rows are read with a ``term isin(query_terms)`` parquet filter
+   (row-group pruning; only query-term postings are ever decoded),
+   contributions are accumulated vectorized (np.bincount over unique
+   candidate docs), and the task returns its local top-k per query —
+   k rows, not a score vector.  No Ray Data job is started per call;
+   the tasks run on Ray's reused worker processes.
+4. The driver gathers the partials (Q × k × n_tasks tiny rows) with one
+   ``ray.get`` and merges them into the final ranking with (score desc,
+   doc_id asc) tie normalization (the reference's argpartition tie
+   order is unspecified, on_rank_bm25.py:32).  Only query batches whose
+   partials exceed ``DRIVER_MERGE_ROWS`` merge through a distributed
+   Ray Data ``groupby(qi)`` over the task refs instead.
+
+``serve.BM25Server`` shares this driver side — ``load_index_view``,
+``_query_plan``, ``_merge_partials_local`` and ``finish_results`` — and
+scores the same ``score_range`` core in resident actors.
 
 Rank-identicality corner: the reference ranks a dense score vector over
 *all* docs, so every UNMATCHED doc scores exactly the query constant
@@ -40,9 +48,8 @@ append-padding (exact only for non-negative-idf scoring).
 from __future__ import annotations
 
 import os
-import sys
-import time
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -472,9 +479,10 @@ def score_range(
     decoded,
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Score queries [q_lo, q_hi) of ``plan`` against one doc range
-    given the range's segment rows; the shared core of the Ray Data
-    scatter task and the persistent serving actors.  ``decoded`` is a
-    _DecodeCache(-compatible) full-decode hook for this exact range."""
+    given the range's segment rows; the shared core of the
+    ``score_slice`` task and the persistent serving actors.
+    ``decoded`` is a _DecodeCache(-compatible) full-decode hook for this
+    exact range."""
     from ..stages.blockmax import score_query_pruned
 
     # filtered search (plan["allowed"]: packed bitmap, docfilter.py):
@@ -706,17 +714,21 @@ def query_plan_terms(plan: dict, q_lo: int, q_hi: int) -> list[str]:
 
 
 # worker-process cache of group norms mmaps (file open + header parse
-# per task otherwise; the mmap itself is page-cache shared node-wide)
-_NORMS_CACHE: dict[tuple[str, int], tuple[np.ndarray, int]] = {}
+# per task otherwise; the mmap itself is page-cache shared node-wide).
+# Keyed on the .npy file's identity: scoring workers outlive index
+# rewrites, and build_norms replaces the file (new inode) whenever
+# append/compaction changes a group's docs.
+_NORMS_CACHE: dict[tuple, tuple[np.ndarray, int]] = {}
 
 
 def _group_norms(norms_index: str, group_dir: str) -> tuple[np.ndarray, int]:
+    from ..state.norms import _norm_paths, load_group_norms
+
     g = int(group_dir.rsplit("group=", 1)[1])
-    key = (norms_index, g)
+    st = os.stat(_norm_paths(norms_index, g)[0])
+    key = (norms_index, g, st.st_ino, st.st_mtime_ns, st.st_size)
     v = _NORMS_CACHE.get(key)
     if v is None:
-        from ..state.norms import load_group_norms
-
         if len(_NORMS_CACHE) > 64:
             _NORMS_CACHE.clear()
         v = _NORMS_CACHE[key] = load_group_norms(norms_index, g)
@@ -732,17 +744,43 @@ _SEG_COLS_NO_DL = [
 ]
 
 
-def make_score_slice(
-    plan_ref,
+def _partials_table(
+    qis: list[np.ndarray], docs: list[np.ndarray], scores: list[np.ndarray]
+) -> pa.Table:
+    """score_range output → one (qi, doc_id, score) partial table."""
+    if not qis:
+        return _EMPTY_PARTIALS
+    return pa.table(
+        {
+            "qi": pa.array(np.concatenate(qis), type=pa.int32()),
+            "doc_id": pa.array(np.concatenate(docs), type=pa.int64()),
+            "score": pa.array(np.concatenate(scores), type=pa.float64()),
+        }
+    )
+
+
+def _concat_partials(tables: list[pa.Table]) -> pa.Table:
+    return pa.concat_tables(tables) if tables else _EMPTY_PARTIALS
+
+
+@ray.remote
+def score_slice(
+    plan: dict,
+    item: tuple[str, int, int, int, int],
     params: BM25Params,
     avgdl: float,
     k: int,
     block_size: int,
-    prune: bool = False,
-    dense_pad: bool = False,
-    norms_index: str | None = None,
-):
-    """Task fn scoring all queries against one (group, doc-range) slice.
+    prune: bool,
+    dense_pad: bool,
+    norms_index: str | None,
+) -> pa.Table:
+    """Score queries [q_lo, q_hi) against one (group, doc-range) slice.
+
+    ``plan`` is passed as the ``ray.put`` ref of search()'s plan, so
+    Ray resolves it on the worker (one object store copy per node, not
+    one per task); ``item`` is one scatter entry
+    ``(group_dir, lo, hi, q_lo, q_hi)``.
 
     A build group can be far wider than one task should chew, so the
     scatter unit is a doc-id slice of a group: every task reads the
@@ -764,64 +802,33 @@ def make_score_slice(
     padding merge stays exact (pruning could otherwise drop a matched
     doc that the pad would then mislabel as unmatched-at-qconst).
     """
-    s0 = nonoccurrence_shape(params)
+    group_dir, lo, hi, q_lo, q_hi = item
+    terms_here = query_plan_terms(plan, q_lo, q_hi)
+    rows_by_term: dict[str, list[dict]] = {}
+    if terms_here:
+        # read fresh per task: a per-worker (group, term)→rows LRU was
+        # A/B-measured here (best-of-3 alternating, pinned 16 CPUs,
+        # 8000 q) at NO win — the term-pruned parquet re-read is
+        # page-cached + cheap to decompress, and the cache added heap
+        # pressure.  Negative result; see BASELINE.md round 3.
+        from ..stages.segments import segment_rows_by_term
 
-    def score_slice(batch: pa.Table) -> pa.Table:
-        plan = ray.get(plan_ref)
-        out_qi: list[np.ndarray] = []
-        out_doc: list[np.ndarray] = []
-        out_score: list[np.ndarray] = []
-
-        for group_dir, lo, hi, q_lo, q_hi in zip(
-            batch.column("group_dir").to_pylist(),
-            batch.column("lo").to_pylist(),
-            batch.column("hi").to_pylist(),
-            batch.column("q_lo").to_pylist(),
-            batch.column("q_hi").to_pylist(),
-        ):
-            terms_here = query_plan_terms(plan, q_lo, q_hi)
-            rows_by_term: dict[str, list[dict]] = {}
-            if terms_here:
-                # read fresh per task: a per-worker (group, term)→rows
-                # LRU was A/B-measured here (best-of-3 alternating,
-                # pinned 16 CPUs, 8000 q) at NO win — the term-pruned
-                # parquet re-read is page-cached + cheap to decompress,
-                # and the cache added heap pressure.  Negative result;
-                # see BASELINE.md round 3.
-                from ..stages.segments import segment_rows_by_term
-
-                seg = pads.dataset(group_dir).to_table(
-                    filter=pc.field("term").isin(terms_here),
-                    columns=_SEG_COLS_NO_DL if norms_index else None,
-                )
-                rows_by_term = segment_rows_by_term(seg)
-            if not rows_by_term and not dense_pad:
-                continue
-            norms = (
-                _group_norms(norms_index, group_dir) if norms_index else None
-            )
-            # decoded (doc, tf_shape - s0) per term, shared across every
-            # query in this task — hot terms decode once, not per query
-            decoded = _DecodeCache(block_size, lo, hi, params, avgdl, s0,
-                                   norms=norms)
-            qis, docs, scores = score_range(
-                plan, rows_by_term, params, avgdl, k, block_size,
-                lo, hi, q_lo, q_hi, prune, dense_pad, decoded,
-            )
-            out_qi += qis
-            out_doc += docs
-            out_score += scores
-        if not out_qi:
-            return _EMPTY_PARTIALS
-        return pa.table(
-            {
-                "qi": pa.array(np.concatenate(out_qi)),
-                "doc_id": pa.array(np.concatenate(out_doc)),
-                "score": pa.array(np.concatenate(out_score)),
-            }
+        seg = pads.dataset(group_dir).to_table(
+            filter=pc.field("term").isin(terms_here),
+            columns=_SEG_COLS_NO_DL if norms_index else None,
         )
-
-    return score_slice
+        rows_by_term = segment_rows_by_term(seg)
+    if not rows_by_term and not dense_pad:
+        return _EMPTY_PARTIALS
+    norms = _group_norms(norms_index, group_dir) if norms_index else None
+    # decoded (doc, tf_shape - s0) per term, shared across every query
+    # in this task — hot terms decode once, not per query
+    decoded = _DecodeCache(block_size, lo, hi, params, avgdl,
+                           nonoccurrence_shape(params), norms=norms)
+    return _partials_table(*score_range(
+        plan, rows_by_term, params, avgdl, k, block_size,
+        lo, hi, q_lo, q_hi, prune, dense_pad, decoded,
+    ))
 
 
 def make_merge_topk(plan_ref, k: int, num_docs: int, legacy_pad: bool):
@@ -857,12 +864,9 @@ def make_merge_topk(plan_ref, k: int, num_docs: int, legacy_pad: bool):
     return merge_topk
 
 
-def _collect_arrow(ds: rd.Dataset) -> pa.Table:
-    """Materialize a (small) Dataset to one Arrow table on the driver."""
-    tables = [
-        b for b in ds.iter_batches(batch_size=None, batch_format="pyarrow")
-    ]
-    return pa.concat_tables(tables) if tables else _EMPTY_PARTIALS
+def _collect_arrow(refs: list) -> pa.Table:
+    """Gather the scoring tasks' partial tables on the driver."""
+    return _concat_partials(ray.get(refs))
 
 
 def _merge_partials_local(
@@ -981,6 +985,101 @@ def _empty_query_results(plan: dict, k: int, num_docs: int, legacy_pad: bool) ->
     )
 
 
+# Partial rows (Q × k × groups × slices) up to which search() merges on
+# the driver; above it the merge is a distributed Ray Data groupby.
+DRIVER_MERGE_ROWS = 30_000_000
+
+
+@dataclass
+class IndexView:
+    """The manifest as both query entry points (search() and
+    serve.BM25Server) read it: config, collection stats, the groups in
+    scope, their contiguous doc ranges, and the padding those ranges
+    allow (module docstring)."""
+
+    index_dir: str
+    man: Manifest
+    cfg: IndexConfig
+    num_docs: int
+    avgdl: float
+    gids: list[int]
+    # group -> [doc_lo, doc_hi); empty when any group lacks a recorded
+    # range or two groups overlap
+    ranges: dict[int, tuple[int, int]]
+    # slices pad with their own unmatched docs (exact for any scoring)
+    dense_pad: bool
+    # the merge appends padding instead (range-less indexes; exact only
+    # for non-negative-idf scoring)
+    legacy_pad: bool
+
+    def group_dir(self, g: int) -> str:
+        return os.path.join(self.index_dir, SEGMENTS_DIR, f"group={g}")
+
+    def group_range(self, g: int) -> tuple[int, int]:
+        return self.ranges.get(g, (0, self.num_docs))
+
+
+def load_index_view(
+    index_dir: str,
+    cfg: IndexConfig | None = None,
+    dense_ids: bool = True,
+    groups: list[int] | None = None,
+) -> IndexView:
+    man = Manifest.load(index_dir)
+    if man is None or not man.is_complete():
+        raise ValueError(f"no complete index at {index_dir}")
+    cfg = cfg or IndexConfig(**{
+        k_: v for k_, v in man.config.items()
+        if k_ in IndexConfig.__dataclass_fields__
+    })
+    gids = man.done_groups()
+    if groups is not None:
+        missing = set(groups) - set(gids)
+        if missing:
+            raise ValueError(f"groups not in index: {sorted(missing)}")
+        gids = sorted(groups)
+        dense_ids = False  # partial doc space: no zero-score padding
+
+    # Per-group contiguous doc ranges (recorded at build time) make the
+    # scatter exact for dense-id padding AND confine each group's slices
+    # to its own doc range (no empty cross-range tasks).
+    ranges: dict[int, tuple[int, int]] = {}
+    for g in gids:
+        e = man.groups[str(g)]
+        if e.get("doc_lo") is None or e.get("doc_hi") is None:
+            ranges = {}
+            break
+        ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
+    if ranges:
+        spans = sorted(ranges.values())
+        if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
+            ranges = {}  # overlapping groups: ranges unusable
+    dense_pad = dense_ids and bool(ranges)
+    return IndexView(
+        index_dir, man, cfg, man.stats["num_docs"], man.stats["avgdl"],
+        gids, ranges, dense_pad, dense_ids and not dense_pad,
+    )
+
+
+def _join_back(tbl: pa.Table, offsets: pd.DataFrame) -> pa.Table:
+    dm = docmap_from_offsets(offsets, tbl.column("doc_id").to_numpy())
+    return tbl.append_column(
+        "conv_id", pa.array(dm["conv_id"], type=pa.string())
+    ).append_column("turn_idx", pa.array(dm["turn_idx"], type=pa.int32()))
+
+
+def finish_results(
+    merged: pa.Table, plan: dict, k: int, view: IndexView,
+    offsets: pd.DataFrame | None,
+) -> pa.Table:
+    """Merged top-k → final results: rows for queries no task scored,
+    then the (conv_id, turn_idx) join-back when ``offsets`` is given."""
+    extra = _empty_query_results(plan, k, view.num_docs, view.legacy_pad)
+    if extra.num_rows:
+        merged = pa.concat_tables([merged, extra])
+    return merged if offsets is None else _join_back(merged, offsets)
+
+
 def search(
     index_dir: str,
     queries: list[tuple[str, str]],
@@ -996,6 +1095,11 @@ def search(
     allowed: np.ndarray | None = None,
 ) -> rd.Dataset:
     """Retrieve top-k (qid, doc_id, rank, score) for every query.
+
+    One ``score_slice`` Ray task per (group, doc slice, query batch)
+    scores against the ``ray.put`` plan; the driver gathers the partial
+    top-k tables with one ``ray.get`` and merges them (module
+    docstring).  The result is a Dataset over that one Arrow table.
 
     ``groups`` restricts the search to a subset of index groups — the
     partial-index load path (the reference's mmap/query-only scripts
@@ -1017,15 +1121,8 @@ def search(
     legacy indexes.  Forces the exhaustive scorer (pruning bounds
     ignore the mask)."""
     params = params or BM25Params()
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = cfg or IndexConfig(**{
-        k_: v for k_, v in man.config.items()
-        if k_ in IndexConfig.__dataclass_fields__
-    })
-    num_docs = man.stats["num_docs"]
-    avgdl = man.stats["avgdl"]
+    view = load_index_view(index_dir, cfg, dense_ids, groups)
+    num_docs, gids, ranges = view.num_docs, view.gids, view.ranges
 
     from .docfilter import BitmapShards
 
@@ -1051,40 +1148,23 @@ def search(
     deleted = load_tombstones(index_dir)
     if deleted is not None and deleted.size == 0:
         deleted = None
-    if allowed is not None or deleted is not None:
+    masked = allowed is not None or deleted is not None
+    if masked:
         mode = "exhaustive"
+        if view.legacy_pad:
+            # merge-side legacy padding is mask-unaware; every index
+            # this engine writes records contiguous group ranges, so
+            # this only rejects filtered search over pre-range-era
+            # indexes
+            raise ValueError(
+                "filtered search requires contiguous per-group doc ranges"
+            )
 
-    gids = man.done_groups()
-    if groups is not None:
-        missing = set(groups) - set(gids)
-        if missing:
-            raise ValueError(f"groups not in index: {sorted(missing)}")
-        gids = sorted(groups)
-        dense_ids = False  # partial doc space: no zero-score padding
-
-    # Per-group contiguous doc ranges (recorded at build time) make the
-    # scatter exact for dense-id padding AND confine each group's slices
-    # to its own doc range (no empty cross-range tasks).
-    ranges: dict[int, tuple[int, int]] = {}
-    for g in gids:
-        e = man.groups[str(g)]
-        if e.get("doc_lo") is None or e.get("doc_hi") is None:
-            ranges = {}
-            break
-        ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
-    if ranges:
-        spans = sorted(ranges.values())
-        if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
-            ranges = {}  # overlapping groups: ranges unusable
-
-    t0 = time.perf_counter()
-    tokenized = tokenize_queries(queries, cfg)
-    t1 = time.perf_counter()
     plan = _query_plan(
-        tokenized, index_dir, params, num_docs,
-        avg_idf=man.stats.get("avg_robertson_idf"),
+        tokenize_queries(queries, view.cfg), index_dir, params, num_docs,
+        avg_idf=view.man.stats.get("avg_robertson_idf"),
     )
-    if allowed is not None or deleted is not None:
+    if masked:
         if ranges:
             # sharded publication (docfilter.BitmapShards): one object
             # per group, fetched slice-wise by the scoring tasks — the
@@ -1110,18 +1190,6 @@ def search(
                 full = t_allowed if full is None else full & t_allowed
             plan["allowed"] = full
     plan_ref = ray.put(plan)
-    if os.environ.get("BM25RD_TIMING"):
-        print(f"[timing] query.tokenize: {t1 - t0:.3f}s  "
-              f"query.plan: {time.perf_counter() - t1:.3f}s", file=sys.stderr)
-
-    dense_pad = dense_ids and bool(ranges)
-    if (allowed is not None or deleted is not None) and dense_ids and not dense_pad:
-        # merge-side legacy padding is mask-unaware; every index this
-        # engine writes records contiguous group ranges, so this only
-        # rejects filtered search over pre-range-era indexes
-        raise ValueError(
-            "filtered search requires contiguous per-group doc ranges"
-        )
 
     # 3x CPU slots of tasks (~3 waves): q-batches are skewed (a batch
     # whose queries hit hot terms decodes far more postings), and three
@@ -1173,99 +1241,56 @@ def search(
     q_bounds = np.linspace(0, n_q, n_qbatch + 1).astype(np.int64)
     scatter = []
     for g in gids:
-        g_lo, g_hi = ranges.get(g, (0, num_docs))
-        bounds = np.linspace(g_lo, g_hi, n_slices + 1).astype(np.int64)
+        bounds = np.linspace(*view.group_range(g), n_slices + 1).astype(np.int64)
         if not ranges:
             bounds[-1] = np.iinfo(np.int64).max  # unknown range: open tail
         scatter += [
-            {
-                "group_dir": os.path.join(index_dir, SEGMENTS_DIR, f"group={g}"),
-                "lo": int(bounds[s]),
-                "hi": int(bounds[s + 1]),
-                "q_lo": int(q_bounds[qb]),
-                "q_hi": int(q_bounds[qb + 1]),
-            }
+            (view.group_dir(g), int(bounds[s]), int(bounds[s + 1]),
+             int(q_bounds[qb]), int(q_bounds[qb + 1]))
             for qb in range(n_qbatch)
             for s in range(n_slices)
         ]
     # norms-file mode (state/norms.py): when every group has a fresh
     # norms sidecar, scoring tasks read segment rows WITHOUT the dls
     # stream and resolve dl via the group's mmap — ~28% fewer posting
-    # bytes off storage and through decode.  GRAFT_NORMS=0 is the A/B
-    # kill-switch.
+    # bytes off storage and through decode.
     from ..state.norms import has_norms
 
-    norms_index = (
-        index_dir
-        if os.environ.get("GRAFT_NORMS", "1") == "1"
-        and has_norms(index_dir, man)
-        else None
-    )
-    partials = rd.from_items(scatter).map_batches(
-        make_score_slice(
-            plan_ref, params, avgdl, k, cfg.block_size,
-            prune=(mode == "pruned"), dense_pad=dense_pad,
-            norms_index=norms_index,
-        ),
+    norms_index = index_dir if has_norms(index_dir, view.man) else None
+    refs = [
+        score_slice.remote(
+            plan_ref, item, params, view.avgdl, k, view.cfg.block_size,
+            mode == "pruned", view.dense_pad, norms_index,
+        )
+        for item in scatter
+    ]
+    offsets = load_offsets(index_dir) if join_back else None
+
+    # The partials are Q × k × n_tasks tiny rows.  Up to
+    # DRIVER_MERGE_ROWS the merge runs driver-side (vectorized numpy) —
+    # a sort-based Ray shuffle costs seconds of fixed latency for
+    # kilobytes of data.  dense_pad: slices already merged padding by
+    # score — the global merge is a plain tie-normalized top-k.  Each
+    # query appears only in its own q-batch's tasks, so partial volume
+    # is Q x k x (groups x slices) — NOT x len(scatter).
+    n_partial_est = n_q * k * len(gids) * n_slices
+    if n_partial_est <= DRIVER_MERGE_ROWS:
+        merged = _merge_partials_local(
+            _collect_arrow(refs), plan, k, num_docs, view.legacy_pad
+        )
+        return rd.from_arrow(finish_results(merged, plan, k, view, offsets))
+
+    merged = rd.from_arrow_refs(refs).groupby("qi").map_groups(
+        make_merge_topk(plan_ref, k, num_docs, view.legacy_pad),
         batch_format="pyarrow",
-        batch_size=1,
     )
-
-    # The partials are Q × k × n_tasks tiny rows.  Below ~5M rows the
-    # merge runs driver-side (vectorized numpy) — a sort-based Ray
-    # shuffle costs seconds of fixed latency for kilobytes of data.  The
-    # distributed groupby path stays for genuinely huge query batches.
-    # dense_pad: slices already merged padding by score — the global
-    # merge is a plain tie-normalized top-k.  legacy_pad (index without
-    # contiguous group ranges): merge-side append-padding, exact only
-    # for non-negative-idf scoring.
-    legacy_pad = dense_ids and not dense_pad
-    # each query appears only in its own q-batch's tasks, so partial
-    # volume is Q x k x (groups x slices) — NOT x len(scatter).  The
-    # driver-side vectorized merge wins up to ~30M tiny rows (~700 MB);
-    # beyond that the distributed groupby merge takes over.
-    n_partial_est = len(plan["qids"]) * k * len(gids) * n_slices
-    if n_partial_est <= 30_000_000:
-        t_score = time.perf_counter()
-        tbl = _collect_arrow(partials)
-        t_merge = time.perf_counter()
-        merged_tbl = _merge_partials_local(tbl, plan, k, num_docs, legacy_pad)
-        if os.environ.get("BM25RD_TIMING"):
-            print(f"[timing] query.score_job: {t_merge - t_score:.3f}s  "
-                  f"query.merge: {time.perf_counter() - t_merge:.3f}s  "
-                  f"tasks={len(scatter)} partial_rows={tbl.num_rows}",
-                  file=sys.stderr)
-        extra = _empty_query_results(plan, k, num_docs, legacy_pad)
-        if extra.num_rows:
-            merged_tbl = pa.concat_tables([merged_tbl, extra])
-        if join_back:
-            offsets = load_offsets(index_dir)
-            if offsets is not None:
-                dm = docmap_from_offsets(
-                    offsets, merged_tbl.column("doc_id").to_numpy()
-                )
-                merged_tbl = merged_tbl.append_column(
-                    "conv_id", pa.array(dm["conv_id"], type=pa.string())
-                ).append_column("turn_idx", pa.array(dm["turn_idx"], type=pa.int32()))
-        return rd.from_arrow(merged_tbl)
-
-    merged = partials.groupby("qi").map_groups(
-        make_merge_topk(plan_ref, k, num_docs, legacy_pad), batch_format="pyarrow"
-    )
-    extra = _empty_query_results(plan, k, num_docs, legacy_pad)
+    extra = _empty_query_results(plan, k, num_docs, view.legacy_pad)
     if extra.num_rows:
         merged = merged.union(rd.from_arrow(extra))
-
-    offsets = load_offsets(index_dir) if join_back else None
     if offsets is not None:
         off_ref = ray.put(offsets)
-
-        def add_conv(batch: pa.Table) -> pa.Table:
-            off = ray.get(off_ref)
-            dm = docmap_from_offsets(off, batch.column("doc_id").to_numpy())
-            return batch.append_column(
-                "conv_id", pa.array(dm["conv_id"], type=pa.string())
-            ).append_column("turn_idx", pa.array(dm["turn_idx"], type=pa.int32()))
-
-        merged = merged.map_batches(add_conv, batch_format="pyarrow")
+        merged = merged.map_batches(
+            lambda batch: _join_back(batch, ray.get(off_ref)),
+            batch_format="pyarrow",
+        )
     return merged

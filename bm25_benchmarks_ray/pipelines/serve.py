@@ -1,19 +1,21 @@
 """Persistent low-latency BM25 serving over a built index.
 
-``search()`` (pipelines/query.py) constructs a fresh Ray Data pipeline
-per call — right for throughput batches, but its fixed cost puts a
-~0.4 s floor under single-query latency.  The reference's interactive
-path keeps a loaded model resident (/root/reference/benchmark/
-inference/retrieve_mmap.py:16 loads once, queries many); the Ray-native
-analogue is a pool of **persistent group-scorer actors**:
+``search()`` (pipelines/query.py) launches one Ray task per scatter
+slice per call, and every task re-reads and re-decodes its query terms
+from storage.  The reference's interactive path keeps a loaded model
+resident (/root/reference/benchmark/inference/retrieve_mmap.py:16
+loads once, queries many); the Ray-native analogue is a pool of
+**persistent group-scorer actors**:
 
 - one actor per index group, holding that group's segment rows and
   decoded posting lists in memory (warmed lazily, term by term);
-- a query is one tiny plan broadcast to the actors (`actor.score``
-  round-trip, milliseconds) + a driver-side vectorized merge;
-- scoring semantics are EXACTLY ``search()``'s — both call the shared
-  ``score_range`` core — so served results are rank-identical to the
-  batch pipeline (asserted in tests/test_serve.py).
+- a query is one tiny plan broadcast to the actors (``actor.score``
+  round-trip, milliseconds) + the driver-side merge;
+- everything else is ``search()``'s own code: the index view
+  (``load_index_view``), the plan, the scoring core (``score_range``)
+  and the finishing step (``_merge_partials_local`` +
+  ``finish_results``), so served results are rank-identical to the
+  batch path (asserted in tests/test_serve.py).
 
 This is the "shared mutable index held by raw Ray actors" case the
 Dataset API genuinely cannot express: state must outlive any one
@@ -33,15 +35,16 @@ import ray
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, nonoccurrence_shape
-from ..state.manifest import Manifest
-from .index_build import SEGMENTS_DIR, docmap_from_offsets, load_offsets
+from .index_build import load_offsets
 from .query import (
-    RESULT_SCHEMA,
     _DecodeCache,
     _EMPTY_PARTIALS,
-    _empty_query_results,
+    _concat_partials,
     _merge_partials_local,
+    _partials_table,
     _query_plan,
+    finish_results,
+    load_index_view,
     query_plan_terms,
     score_range,
     tokenize_queries,
@@ -103,7 +106,7 @@ class GroupScorer:
         for t in missing:
             self.rows.setdefault(t, None)
 
-    def score(self, plan: dict, k: int):
+    def score(self, plan: dict, k: int) -> pa.Table:
         n_q = len(plan["qids"])
         terms = query_plan_terms(plan, 0, n_q)
         self._ensure(terms)
@@ -111,18 +114,11 @@ class GroupScorer:
             t: parts for t in terms if (parts := self.rows.get(t)) is not None
         }
         if not rows_by_term and not self.dense_pad:
-            return None
-        qis, docs, scores = score_range(
+            return _EMPTY_PARTIALS
+        return _partials_table(*score_range(
             plan, rows_by_term, self.params, self.avgdl, k, self.block_size,
             self.lo, self.hi, 0, n_q, self.prune, self.dense_pad, self.decoded,
-        )
-        if not qis:
-            return None
-        return (
-            np.concatenate(qis),
-            np.concatenate(docs),
-            np.concatenate(scores),
-        )
+        ))
 
 
 class BM25Server:
@@ -145,55 +141,24 @@ class BM25Server:
     ):
         self.index_dir = index_dir
         self.params = params or BM25Params()
-        man = Manifest.load(index_dir)
-        if man is None or not man.is_complete():
-            raise ValueError(f"no complete index at {index_dir}")
-        self.man = man
-        self.cfg = cfg or IndexConfig(**{
-            k: v for k, v in man.config.items()
-            if k in IndexConfig.__dataclass_fields__
-        })
-        self.num_docs = man.stats["num_docs"]
-        self.avgdl = man.stats["avgdl"]
-        self.avg_idf = man.stats.get("avg_robertson_idf")
-        gids = man.done_groups()
-        ranges: dict[int, tuple[int, int]] = {}
-        for g in gids:
-            e = man.groups[str(g)]
-            if e.get("doc_lo") is None or e.get("doc_hi") is None:
-                ranges = {}
-                break
-            ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
-        if ranges:
-            spans = sorted(ranges.values())
-            if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
-                ranges = {}
-        self.dense_pad = dense_ids and bool(ranges)
-        self.legacy_pad = dense_ids and not self.dense_pad
+        self.view = v = load_index_view(index_dir, cfg, dense_ids)
         # index-level deletes: the NOT-deleted bitmap rides in every
         # plan so the scorers mask tombstoned docs (tombstones.py)
         from .tombstones import tombstone_allowed
 
-        self.t_allowed = tombstone_allowed(index_dir, self.num_docs)
-        if self.t_allowed is not None and self.legacy_pad:
+        self.t_allowed = tombstone_allowed(index_dir, v.num_docs)
+        if self.t_allowed is not None and v.legacy_pad:
             raise ValueError(
                 "serving a tombstoned index requires contiguous group doc ranges"
             )
         self._df_cache: dict[str, int] = {}
         self.offsets = load_offsets(index_dir) if join_back else None
-        import os
-
         self.actors = [
             GroupScorer.options(num_cpus=num_cpus_per_actor).remote(
-                os.path.join(index_dir, SEGMENTS_DIR, f"group={g}"),
-                self.params,
-                self.avgdl,
-                self.cfg.block_size,
-                *(ranges.get(g, (0, self.num_docs))),
-                mode == "pruned",
-                self.dense_pad,
+                v.group_dir(g), self.params, v.avgdl, v.cfg.block_size,
+                *v.group_range(g), mode == "pruned", v.dense_pad,
             )
-            for g in gids
+            for g in v.gids
         ]
 
     def warm(self, queries: list[tuple[str, str]]) -> None:
@@ -222,10 +187,11 @@ class BM25Server:
         ray.get([a.warm.remote(terms) for a in self.actors])
 
     def _plan(self, queries: list[tuple[str, str]]) -> dict:
-        tokenized = tokenize_queries(queries, self.cfg)
+        v = self.view
         plan = _query_plan(
-            tokenized, self.index_dir, self.params, self.num_docs,
-            avg_idf=self.avg_idf, df_cache=self._df_cache,
+            tokenize_queries(queries, v.cfg), self.index_dir, self.params,
+            v.num_docs, avg_idf=v.man.stats.get("avg_robertson_idf"),
+            df_cache=self._df_cache,
         )
         if self.t_allowed is not None:
             plan["allowed"] = self.t_allowed
@@ -233,33 +199,12 @@ class BM25Server:
 
     def search(self, queries: list[tuple[str, str]], k: int = 10) -> pd.DataFrame:
         plan = self._plan(queries)
-        parts = [
-            r
-            for r in ray.get([a.score.remote(plan, k) for a in self.actors])
-            if r is not None
-        ]
-        if parts:
-            tbl = pa.table(
-                {
-                    "qi": pa.array(np.concatenate([p[0] for p in parts])),
-                    "doc_id": pa.array(
-                        np.concatenate([p[1] for p in parts]), type=pa.int64()
-                    ),
-                    "score": pa.array(np.concatenate([p[2] for p in parts])),
-                }
-            )
-        else:
-            tbl = _EMPTY_PARTIALS
-        merged = _merge_partials_local(tbl, plan, k, self.num_docs, self.legacy_pad)
-        extra = _empty_query_results(plan, k, self.num_docs, self.legacy_pad)
-        if extra.num_rows:
-            merged = pa.concat_tables([merged, extra])
-        out = merged.to_pandas()
-        if self.offsets is not None and len(out):
-            dm = docmap_from_offsets(self.offsets, out["doc_id"].to_numpy())
-            out["conv_id"] = dm["conv_id"].to_numpy()
-            out["turn_idx"] = dm["turn_idx"].to_numpy()
-        return out
+        parts = ray.get([a.score.remote(plan, k) for a in self.actors])
+        merged = _merge_partials_local(
+            _concat_partials(parts), plan, k,
+            self.view.num_docs, self.view.legacy_pad,
+        )
+        return finish_results(merged, plan, k, self.view, self.offsets).to_pandas()
 
     def close(self) -> None:
         for a in self.actors:

@@ -1,11 +1,13 @@
 """Force the at-scale code branches (distributed conv-offsets groupby,
-distributed vocab aggregation) that the driver-side fast paths normally
-shadow below DRIVER_SIDE_ROWS."""
+distributed vocab aggregation, distributed query merge) that the
+driver-side fast paths normally shadow below DRIVER_SIDE_ROWS /
+DRIVER_MERGE_ROWS."""
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -43,8 +45,53 @@ def test_distributed_offsets_and_vocab(ray_session, tmp_path, monkeypatch):
     for qid, qtext in synthesize_queries(8, seed=2):
         got = res[res["qid"] == qid].sort_values("rank")
         exp = oracle_topk(oracle, qtext, params, k=5)
-        import numpy as np
-
         np.testing.assert_allclose(
             got["score"].to_numpy(), [s for _, s in exp], atol=1e-6
         )
+
+
+@pytest.fixture(scope="module")
+def two_group_index(ray_session, tmp_path_factory):
+    d = tmp_path_factory.mktemp("dcorpus")
+    table = synthesize_transcripts(300, seed=23)
+    n = table.num_rows
+    pq.write_table(table.slice(0, n // 2), str(d / "a.parquet"))
+    pq.write_table(table.slice(n // 2), str(d / "b.parquet"))
+    idx = str(tmp_path_factory.mktemp("didx") / "index")
+    ib.build_index(str(d), idx, IndexConfig(), mode="transcripts", n_groups=2)
+    return idx
+
+
+def _ranked(ds):
+    return ds.to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True)
+
+
+@pytest.mark.parametrize("k", [10, 1000])
+def test_distributed_merge_matches_local(two_group_index, monkeypatch, k):
+    """DRIVER_MERGE_ROWS = 0 routes every batch through the Ray Data
+    groupby merge over the task refs; ranks must equal the driver merge."""
+    import pandas as pd
+
+    import bm25_benchmarks_ray.pipelines.query as query
+
+    queries = synthesize_queries(12, seed=4) + [("q_oov", "zzqqxnotaword")]
+    local = _ranked(search(two_group_index, queries, k=k))
+    monkeypatch.setattr(query, "DRIVER_MERGE_ROWS", 0)
+    dist = _ranked(search(two_group_index, queries, k=k))
+    cols = ["qid", "doc_id", "rank", "conv_id", "turn_idx"]
+    pd.testing.assert_frame_equal(local[cols], dist[cols])
+    np.testing.assert_allclose(local["score"], dist["score"], atol=1e-12)
+
+
+def test_local_search_starts_no_ray_data_job(two_group_index, monkeypatch):
+    import ray.data as rd
+
+    def boom(*a, **kw):
+        raise AssertionError("search() started a Ray Data job")
+
+    expected = _ranked(search(two_group_index, synthesize_queries(5, seed=8), k=10))
+    monkeypatch.setattr(rd, "from_items", boom)
+    monkeypatch.setattr(rd.Dataset, "map_batches", boom)
+    ds = search(two_group_index, synthesize_queries(5, seed=8), k=10)
+    monkeypatch.undo()
+    assert _ranked(ds).equals(expected)

@@ -115,3 +115,38 @@ def test_decode_without_dls_returns_none(nidx):
     # norms lookup closes the gap
     arr, base = load_group_norms(idx, 0)
     assert np.array_equal(arr[doc_p - base], dl_f.astype(np.uint32))
+
+
+def test_worker_norms_cache_follows_compaction(ray_session, tmp_path):
+    """A process that cached group 0's norms before append + compact
+    must see the compacted group's norms afterwards, not the old array
+    (the scoring workers outlive index rewrites)."""
+    from bm25_benchmarks_ray.pipelines.index_build import (
+        SEGMENTS_DIR,
+        append_index,
+        compact_index,
+    )
+    from bm25_benchmarks_ray.pipelines.query import _group_norms
+
+    from bm25_benchmarks_ray.sources.transcripts import synthesize_transcripts
+
+    text = synthesize_transcripts(300, seed=29).column("text")
+    t = pa.table({"doc_id": pa.array(np.arange(len(text))), "text": text})
+    cut = t.num_rows // 2
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    pq.write_table(t.slice(0, cut), str(a / "a.parquet"))
+    pq.write_table(t.slice(cut), str(b / "b.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(a), idx, IndexConfig(), mode="documents", fresh=True)
+    gdir = os.path.join(idx, SEGMENTS_DIR, "group=0")
+    arr, base = _group_norms(idx, gdir)
+    assert (arr.size, base) == (cut, 0)
+
+    append_index(str(b), idx, IndexConfig())
+    man = compact_index(idx)
+    assert man.done_groups() == [0] and has_norms(idx, man)
+    e = man.groups["0"]
+    arr, base = _group_norms(idx, gdir)
+    assert (arr.size, base) == (e["doc_hi"] - e["doc_lo"], e["doc_lo"])
+    assert arr.size == t.num_rows

@@ -1,7 +1,7 @@
 """Component profile of one query scoring task (read / decode / score)
 and its behavior under memory-bandwidth contention.
 
-Replays exactly what make_score_slice does for one (group, q-batch)
+Replays exactly what the score_slice task does for one (group, q-batch)
 task, timing the three components separately, optionally with N
 concurrent worker processes pinned to distinct cores — the single-box
 analogue of the 4-vs-16-core scaling legs, isolating which component
