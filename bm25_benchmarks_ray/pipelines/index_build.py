@@ -63,13 +63,6 @@ SEGMENTS_DIR = "segments"
 VOCAB_DIR = "vocab"
 
 
-def _timing(stage: str, t0: float) -> None:
-    """BM25RD_TIMING=1: per-stage wall prints (stderr) for bench triage."""
-    if os.environ.get("BM25RD_TIMING"):
-        import sys
-
-        print(f"[timing] {stage}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-
 # docs per build group; the resume/checkpoint granularity. ~4M docs of
 # transcript turns ≈ a few GB of input per group.
 TARGET_GROUP_DOCS = 4_000_000
@@ -327,10 +320,6 @@ def _build_group_segments(
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     segments.write_parquet(tmp)
-    if os.environ.get("BM25RD_TIMING"):
-        import sys
-
-        print(segments.stats(), file=sys.stderr)
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.replace(tmp, out_dir)
@@ -409,7 +398,6 @@ def build_index(
     # -- stage: conv offsets (transcripts only; tiny table, one pass
     #    over just (conv_id, turn_idx)) --------------------------------
     offsets = None
-    t_off = time.perf_counter()
     if mode == "transcripts":
         off_path = os.path.join(index_dir, OFFSETS_FILE)
         if man.stage_done("offsets"):
@@ -424,7 +412,6 @@ def build_index(
             pq.write_table(pa.Table.from_pandas(offsets, preserve_index=False), tmp)
             os.replace(tmp, off_path)
             man.mark_stage("offsets", n_convs=len(offsets))
-    _timing("offsets", t_off)
 
     # -- stage: per-group segment builds ------------------------------
     # groups overlap (cfg.build_overlap concurrent sub-pipelines): one
@@ -463,18 +450,13 @@ def build_index(
         _build_group_segments(
             ds, cfg, g_dir, two_level, overlap=overlap, g_rows=g_rows
         )
-        _timing(f"group{gid}.segments", t0)
-        t1 = time.perf_counter()
         metrics = _group_metrics(g_dir)
-        _timing(f"group{gid}.metrics", t1)
-        t1 = time.perf_counter()
         rng = _group_doc_range(g_files, g_rows, mode, offsets)
         bnd = (
             rng
             if rng is not None
             else (_group_doc_bounds(g_files) if mode == "documents" else None)
         )
-        _timing(f"group{gid}.doc_range", t1)
         with man_lock:
             man.mark_group(
                 gid,
@@ -501,18 +483,14 @@ def build_index(
                 f.result()
 
     # -- stage: finalize (global vocab/df + corpus stats) -------------
-    t_fin = time.perf_counter()
     _finalize_index(man, index_dir)
-    _timing("finalize", t_fin)
     # norms file (state/norms.py): per-group per-doc dl, derived from
     # the segments in one distributed pass — queries then read postings
     # without the dls stream.  Fingerprint-checked, so a resumed build
     # only (re)derives missing/stale groups.
-    t_n = time.perf_counter()
     from ..state.norms import build_norms
 
     build_norms(index_dir, man)
-    _timing("norms", t_n)
     return man
 
 
@@ -735,12 +713,15 @@ def compact_index(
     """Merge segment groups into one (Lucene merge-policy analogue):
     the maintenance pass after many :func:`append_index` calls have
     accumulated small groups.  Reads ONLY the compressed segment rows
-    (no text, no tokenize), re-sorts them by term id with explicit
-    boundaries, folds each term's per-group rows into one
-    (stages/segments.make_compact_merge), and atomically replaces the
-    source groups with a single merged group.  Vocab/df/corpus stats
-    are sums over groups, so finalize stays valid untouched; query
-    plans shrink from len(gids) groups' term lookups to one.
+    (no text, no tokenize), re-sorts them by (term id, first doc) with
+    explicit tid boundaries, folds each term's per-group rows into one
+    (stages/segments.make_compact_merge: the build's merge kernel over
+    a whole-partition segment decode), and atomically replaces the
+    source groups with a single merged group whose rows are
+    byte-identical to a fresh build of the union.  Vocab/df/corpus
+    stats are sums over groups, so finalize stays valid untouched;
+    query plans shrink from len(gids) groups' term lookups to one.
+    The norms pass then re-derives the merged group's norms file.
     """
     cfg = cfg or IndexConfig()
     man = Manifest.load(index_dir)
@@ -805,7 +786,6 @@ def compact_index(
         )
     )
     merged.write_parquet(out_dir)
-    _timing(f"compact{gids}.merge", t0)
 
     entries = [man.groups[str(g)] for g in gids]
     spans = [

@@ -24,7 +24,9 @@ doc-range-pruned corpus read → a task-pool tokenizer emitting one
 pre-encoded run per (term, batch) → ``sort(["tid", "d0"])`` →
 whole-sorted-partition merge (runs hold disjoint ascending doc spans,
 so dls/pcounts/poss byte-splice and only doc gaps re-encode) →
-``write_parquet`` + atomic marker.  Resume skips finished groups.
+``write_parquet`` into ``group=<g>.tmp``, renamed over the group
+directory, then the marker.  Resume skips finished groups; a group
+without its marker is rebuilt from scratch.
 
 Cost: ~one varint per token occurrence (the classic ~2× postings
 growth), paid only by indexes that opt in via ``build_positions``.
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -307,7 +310,15 @@ def build_positions(
         merged = runs.sort(["tid", "d0"]).map_batches(
             _merge_position_runs, batch_format="pyarrow", batch_size=None
         )
-        merged.write_parquet(gdir)
+        # atomic: a rebuild after a lost marker must replace the group's
+        # files, never add a second copy of every row beside them
+        tmp = gdir + ".tmp"
+        if os.path.exists(tmp):
+            shutil.rmtree(tmp)
+        merged.write_parquet(tmp)
+        if os.path.exists(gdir):
+            shutil.rmtree(gdir)
+        os.replace(tmp, gdir)
         with open(os.path.join(gdir, POS_DONE), "w") as f:
             f.write("ok")
     return root

@@ -41,6 +41,8 @@ serves all five variants (bm25s rebuilds per method,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 
@@ -497,6 +499,39 @@ def _decode_run_block(
     return df, doc, tf, dl, tbuf, lbuf
 
 
+def _decode_segment_block(
+    tbl: pa.Table, block_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None,
+           memoryview | None, memoryview | None]:
+    """Segment-row twin of :func:`_decode_run_block`: EVERY row's
+    postings with one varint pass per stream, returned the same way.
+    Doc gaps restart absolute at every row start and at every
+    ``block_size``-th posting within a row (block-reset coding, see
+    :func:`encode_postings`), so absolute ids are one segmented cumsum —
+    the arithmetic of :func:`bulk_decode_rows`.  A stream whose column
+    was not read (e.g. ``tfs`` for norms) comes back as ``None``."""
+    df = tbl.column("df").to_numpy().astype(np.int64)
+    dview, _ = binary_join_zero_copy(tbl.column("doc_ids"))
+    gaps = varint_decode(np.frombuffer(dview, dtype=np.uint8)).view(np.int64)
+    pos_in_row = np.arange(gaps.size, dtype=np.int64) - np.repeat(
+        np.cumsum(df) - df, df
+    )
+    reset = np.flatnonzero(pos_in_row % block_size == 0)
+    csum = np.cumsum(gaps)
+    base = csum[reset] - gaps[reset]
+    doc = csum - np.repeat(base, np.diff(np.append(reset, gaps.size)))
+
+    def stream(name: str):
+        if name not in tbl.column_names:
+            return None, None
+        buf, _ = binary_join_zero_copy(tbl.column(name))
+        return varint_decode(np.frombuffer(buf, dtype=np.uint8)).view(np.int64), buf
+
+    tf, tbuf = stream("tfs")
+    dl, lbuf = stream("dls")
+    return df, doc, tf, dl, tbuf, lbuf
+
+
 def _runs_ordered(tid_like: np.ndarray, df: np.ndarray, doc: np.ndarray) -> bool:
     """True when every group's runs arrive doc-disjoint and ascending —
     guaranteed when rows are sorted by (tid, d0) and each tokenize batch
@@ -542,18 +577,22 @@ def _first_strings(
     return out
 
 
-def make_merge_sorted(block_size: int = 128):
+def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
     """map_batches fn over a ``sort("tid")`` output block: merges ALL
     term groups in the partition into final segment rows with batched
     varint encodes — one encode pass per stream for the whole block,
     per-term rows carved out by byte-offset slicing (the same
-    prefix-sum trick the tokenizer's map-side combine uses)."""
+    prefix-sum trick the tokenizer's map-side combine uses).
+
+    ``decode`` turns the input block into ``(df, doc, tf, dl, tbuf,
+    lbuf)``: :func:`_decode_run_block` for tokenizer runs (the build),
+    :func:`_decode_segment_block` for segment rows (compaction)."""
 
     def merge_sorted_block(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0:
             return SEGMENT_SCHEMA.empty_table()
         tid = tbl.column("tid").to_numpy()
-        df, doc, tf, dl, in_tbuf, in_lbuf = _decode_run_block(tbl)
+        df, doc, tf, dl, in_tbuf, in_lbuf = decode(tbl)
         n = tid.size
         g_start_row = np.flatnonzero(np.concatenate(([True], tid[1:] != tid[:-1])))
         G = g_start_row.size
@@ -750,66 +789,23 @@ def make_merge_partial(salt_range: int):
 
 
 def make_compact_merge(block_size: int):
-    """Whole-partition merge kernel for COMPACTION: fold multiple
-    SEGMENT_SCHEMA rows of the same term (one per source group) into a
-    single row by decoding the parts and re-encoding the union.
+    """Whole-partition merge kernel for COMPACTION: fold each term's
+    SEGMENT_SCHEMA rows (one per source group) into one row.  It is the
+    build's :func:`make_merge_sorted` fed by :func:`_decode_segment_block`:
+    one varint decode and one encode pass per stream for the whole
+    partition, no per-term loop and no single-part special case (LEB128
+    is canonical, so a lone part re-encodes to the same bytes).  Doc
+    gaps are always re-blocked, since every part ends in a short block;
+    tf/dl streams byte-splice.  Input must arrive sorted by (tid, d0)
+    with tid-only partition boundaries; source groups that interleave
+    doc ranges take the kernel's lexsort fallback."""
+    merge = make_merge_sorted(
+        block_size, functools.partial(_decode_segment_block, block_size=block_size)
+    )
 
-    Blob concatenation alone would be wrong: every decoder assumes all
-    blocks are full except a row's LAST one, and each part ends with a
-    short block.  Decode+re-encode is still ~an order cheaper than a
-    rebuild — no text read, no tokenize, no raw-postings shuffle; the
-    input is the already-compressed segment rows.  Single-part terms
-    pass through untouched (zero decode).  Input must arrive sorted by
-    (tid, d0) with tid-only partition boundaries (no term straddles a
-    partition); doc order is verified and restored by argsort if source
-    groups interleave doc ranges."""
-
+    # own name so the Ray Data operator reads MapBatches(compact_block),
+    # apart from the build's MapBatches(merge_sorted_block)
     def compact_block(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return SEGMENT_SCHEMA.empty_table()
-        cols = {}
-        for name in SEGMENT_SCHEMA.names:
-            arr = tbl.column(name)
-            cols[name] = (
-                arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-            )
-        n = tbl.num_rows
-        tids = cols["tid"].to_numpy()
-        # consecutive-equal runs (input sorted by tid)
-        starts = np.flatnonzero(np.concatenate(([True], tids[1:] != tids[:-1])))
-        ends = np.append(starts[1:], n)
-        single = (ends - starts) == 1
-        pass_idx = starts[single]
-        out = [tbl.select(SEGMENT_SCHEMA.names).take(pa.array(pass_idx))]
-        binary = {
-            name for name in SEGMENT_SCHEMA.names
-            if pa.types.is_binary(SEGMENT_SCHEMA.field(name).type)
-        }
-        merged: list[dict] = []
-        for s, e in zip(starts[~single], ends[~single]):
-            parts = []
-            for i in range(int(s), int(e)):
-                row = {}
-                for name in SEGMENT_SCHEMA.names:
-                    row[name] = (
-                        memoryview(cols[name][i].as_buffer())
-                        if name in binary
-                        else cols[name][i].as_py()
-                    )
-                parts.append(row)
-            dec = [decode_segment(p, block_size) for p in parts]
-            doc = np.concatenate([d[0] for d in dec])
-            tf = np.concatenate([d[1] for d in dec])
-            dl = np.concatenate([d[2] for d in dec])
-            if doc.size > 1 and np.any(np.diff(doc) <= 0):
-                order = np.argsort(doc, kind="mergesort")
-                doc, tf, dl = doc[order], tf[order], dl[order]
-            term = next((p["term"] for p in parts if p["term"] is not None), None)
-            row = encode_postings(term, doc, tf, dl, block_size)
-            row["tid"] = int(tids[s])
-            merged.append(row)
-        if merged:
-            out.append(pa.Table.from_pylist(merged, schema=SEGMENT_SCHEMA))
-        return pa.concat_tables(out) if len(out) > 1 else out[0]
+        return merge(tbl)
 
     return compact_block

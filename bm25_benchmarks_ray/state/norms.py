@@ -24,10 +24,13 @@ The dls stream stays in the segment files for back-compat (serving
 actors and old indexes read it as before); this sidecar only changes
 what queries READ.
 
-Derivation is a post-build pass over the segment store itself (one
-full decode per group, distributed one task per group): every (doc,
-dl) pair in any posting list is the same value for the same doc, so
-scattering them into the group's array is idempotent.  The
+Derivation is a post-build pass over the segment store itself, one
+task per (group, segment file).  Each task reads only the ``df``,
+``doc_ids`` and ``dls`` columns and decodes the whole file at once
+(``stages/segments._decode_segment_block``: one varint pass per
+stream, no per-term loop), then scatters ``arr[doc - doc_lo] = dl``.
+Every (doc, dl) pair in any posting list is the same value for the
+same doc, so the scatter is idempotent.  The
 ``.meta.json`` fingerprint (group parquet names+sizes+mtimes) detects
 compaction/append rewrites; ``build_norms`` rebuilds exactly the
 stale or missing groups.
@@ -96,7 +99,8 @@ def load_group_norms(index_dir: str, g: int) -> tuple[np.ndarray, int]:
 
 def build_norms(index_dir: str, man: Manifest | None = None) -> int:
     """Derive norms for every missing/stale group (one Ray task per
-    (group, segment file); the driver max-combines the per-file partial
+    (group, segment file), each a single whole-file block decode of the
+    doc and dl streams; the driver max-combines the per-file partial
     arrays).  Returns the number of groups (re)built."""
     man = man or Manifest.load(index_dir)
     if man is None or not man.is_complete():
@@ -140,7 +144,7 @@ def build_norms(index_dir: str, man: Manifest | None = None) -> int:
         import pyarrow as pa
         import pyarrow.parquet as pq
 
-        from ..stages.segments import decode_segment, segment_rows_by_term
+        from ..stages.segments import _decode_segment_block
 
         g_out, buf_out = [], []
         for g, lo, hi, path in zip(batch.column("g").to_pylist(),
@@ -148,18 +152,9 @@ def build_norms(index_dir: str, man: Manifest | None = None) -> int:
                                    batch.column("hi").to_pylist(),
                                    batch.column("path").to_pylist()):
             arr = np.zeros(hi - lo, dtype=np.uint32)
-            t = pq.read_table(
-                path,
-                columns=["term", "doc_ids", "dls", "blk_doc0",
-                         "blk_off_doc", "blk_off_dl"],
-            )
-            rbt = segment_rows_by_term(t)
-            for parts in rbt.values():
-                for row in parts:
-                    # tfs absent: decode tolerates missing streams
-                    doc, _tf, dl = decode_segment(row, block_size)
-                    if doc.size:
-                        arr[doc - lo] = dl.astype(np.uint32)
+            t = pq.read_table(path, columns=["df", "doc_ids", "dls"])
+            _df, doc, _tf, dl, _tb, _lb = _decode_segment_block(t, block_size)
+            arr[doc - lo] = dl
             g_out.append(g)
             buf_out.append(arr.tobytes())
         return pa.table({"g": pa.array(g_out, type=pa.int64()),

@@ -1,11 +1,15 @@
 """Segment compaction: merged-group results must be rank-identical to
-the multi-group index, with one group and (mostly) one row per term."""
+the multi-group index, with one group and (mostly) one row per term,
+and the compacted segment rows and norms byte-identical to a fresh
+build of the union."""
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 
 from bm25_benchmarks_ray.functions.bm25 import BM25Params
@@ -16,6 +20,7 @@ from bm25_benchmarks_ray.pipelines.index_build import (
     compact_index,
 )
 from bm25_benchmarks_ray.pipelines.query import search
+from bm25_benchmarks_ray.stages.segments import SEGMENT_SCHEMA
 
 SRC = "/root/testdata/sf0.001/documents.parquet"
 QUERIES = [
@@ -127,3 +132,68 @@ def test_compact_preserves_overlap_validation(ray_session, tmp_path):
     man2 = Manifest.load(idx)
     assert man2.is_complete() and "finalize" in man2.stages
     assert _topk(idx).shape[0] > 0
+
+
+def _segment_rows(idx: str):
+    seg = pads.dataset(os.path.join(idx, "segments")).to_table(
+        columns=SEGMENT_SCHEMA.names
+    )
+    return seg.sort_by("tid")
+
+
+def _fresh_union(table, root, cfg: IndexConfig) -> str:
+    src = str(root / "union.parquet")
+    pq.write_table(table.sort_by("doc_id"), src)
+    idx = str(root / "union_idx")
+    build_index(src, idx, cfg, mode="documents", n_groups=1, fresh=True)
+    return idx
+
+
+def test_append_compact_byte_identical_to_union_build(ray_session, tmp_path):
+    """block_size=8: rows span many blocks and each part ends in a short
+    block, so the compacted doc stream must re-block across part seams."""
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    cfg = IndexConfig(block_size=8)
+    third = t.num_rows // 3
+    dirs = []
+    for i in range(3):
+        d = tmp_path / f"part{i}"
+        os.makedirs(d)
+        part = t.slice(i * third, third if i < 2 else t.num_rows - 2 * third)
+        pq.write_table(part, str(d / f"p{i}.parquet"))
+        dirs.append(str(d))
+    idx = str(tmp_path / "idx")
+    build_index(dirs[0], idx, cfg, mode="documents", fresh=True)
+    append_index(dirs[1], idx, cfg)
+    append_index(dirs[2], idx, cfg)
+    man = compact_index(idx, cfg=cfg)
+    assert man.done_groups() == [0]
+
+    union = _fresh_union(t, tmp_path, cfg)
+    got, want = _segment_rows(idx), _segment_rows(union)
+    assert got.column("df").to_numpy().max() > 3 * 8  # multi-block rows
+    assert got.equals(want)
+    a = np.load(os.path.join(idx, "norms", "group=0.npy"))
+    b = np.load(os.path.join(union, "norms", "group=0.npy"))
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_compact_interleaved_doc_ids(ray_session, tmp_path):
+    """Even ids in one group, odd ids in the other: every term's parts
+    interleave, so compaction takes the merge kernel's lexsort path."""
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    ids = t.column("doc_id").to_numpy()
+    src = tmp_path / "src"
+    os.makedirs(src)
+    pq.write_table(t.filter(ids % 2 == 0), str(src / "even.parquet"))
+    pq.write_table(t.filter(ids % 2 == 1), str(src / "odd.parquet"))
+    cfg = IndexConfig(block_size=8)
+    idx = str(tmp_path / "idx")
+    man = build_index(str(src), idx, cfg, mode="documents", n_groups=2, fresh=True)
+    assert len(man.done_groups()) == 2
+    before = _topk(idx, k=50)
+    compact_index(idx, cfg=cfg)
+    after = _topk(idx, k=50)
+    assert before[["qid", "doc_id", "rank"]].equals(after[["qid", "doc_id", "rank"]])
+    assert (before.score - after.score).abs().max() < 1e-9
+    assert _segment_rows(idx).equals(_segment_rows(_fresh_union(t, tmp_path, cfg)))

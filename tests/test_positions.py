@@ -112,6 +112,33 @@ def test_positions_build_idempotent(poscorpus):
     assert os.path.getmtime(marker) == before
 
 
+def test_positions_rebuild_after_lost_marker(ray_session, tmp_path):
+    """A group whose marker is lost is rebuilt in place: every term
+    keeps its df and ascending doc order (the rebuild must replace the
+    group's files, not write a second copy beside them)."""
+    t = _corpus(300, seed=5)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(t, src)
+    idx = str(tmp_path / "index")
+    build_index(src, idx, IndexConfig(stopwords="en", stemmer="none"),
+                mode="documents", n_groups=1)
+    build_positions(idx, src)
+    gdir = os.path.join(positions_dir(idx), "group=0")
+    terms = ["alpha", "table", "zeta", "query"]
+    before = positions_for_terms(gdir, terms)
+    os.remove(os.path.join(gdir, POS_DONE))
+    build_positions(idx, src)
+    assert os.path.exists(os.path.join(gdir, POS_DONE))
+    after = positions_for_terms(gdir, terms)
+    assert sorted(after) == sorted(before) == sorted(terms)
+    for term in terms:
+        docs = after[term][0]
+        assert docs.size == before[term][0].size
+        assert np.all(np.diff(docs) > 0)
+        for a, b in zip(before[term], after[term]):
+            assert np.array_equal(a, b)
+
+
 def test_positions_analyzer_mismatch_raises(poscorpus):
     idx, d, _ = poscorpus
     with pytest.raises(ValueError, match="analyzer"):
