@@ -153,7 +153,8 @@ def compose_shards(
     read, so they are left as-is.
     """
     ranges = sorted(ranges)
-    deleted = (np.asarray(deleted_ids, dtype=np.int64)
+    # sorted once: each group's ids are one searchsorted span
+    deleted = (np.sort(np.asarray(deleted_ids, dtype=np.int64))
                if deleted_ids is not None else None)
     out: list[np.ndarray] = []
     for g_lo, g_hi in ranges:

@@ -74,6 +74,7 @@ are contract-identical (tested).  The bitmap itself has the
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -551,11 +552,16 @@ def phrase_topk(
     two-phase re-tokenize otherwise; "force" requires the sidecar;
     "off" always re-tokenizes.  Both paths produce identical counts
     (the sidecar stores the same kept-stream positions the fallback
-    recomputes)."""
+    recomputes).  Duplicate qids raise ``ValueError``."""
     if positions not in ("auto", "force", "off"):
         raise ValueError("positions must be 'auto', 'force' or 'off'")
     if gap < 1:
         raise ValueError("gap must be >= 1")
+    # the re-tokenize fallback keys queries by qid, the positions path
+    # does not: duplicates would rank differently on the two paths
+    dup = sorted(q for q, n in Counter(q for q, _ in queries).items() if n > 1)
+    if dup:
+        raise ValueError(f"duplicate phrase qids: {dup}")
     params = params or BM25Params()
     man = Manifest.load(index_dir)
     if man is None or not man.is_complete():

@@ -18,12 +18,14 @@ single-process ``model.retrieve`` cannot express,
    candidate docs), and the task returns its local top-k per query —
    k rows, not a score vector.  No Ray Data job is started per call;
    the tasks run on Ray's reused worker processes.
-4. The driver gathers the partials (Q × k × n_tasks tiny rows) with one
-   ``ray.get`` and merges them into the final ranking with (score desc,
-   doc_id asc) tie normalization (the reference's argpartition tie
-   order is unspecified, on_rank_bm25.py:32).  Only query batches whose
-   partials exceed ``DRIVER_MERGE_ROWS`` merge through a distributed
-   Ray Data ``groupby(qi)`` over the task refs instead.
+4. A query's partials come only from its own query batch's tasks, so
+   the driver gathers and merges one query batch at a time (one
+   ``ray.get`` of that batch's Q_b × k × (groups × slices) tiny rows)
+   into the final ranking with (score desc, doc_id asc) tie
+   normalization (the reference's argpartition tie order is
+   unspecified, on_rank_bm25.py:32).  Driver merge memory is one query
+   batch's partials at any query count; the per-batch results
+   concatenate in query order.
 
 ``serve.BM25Server`` shares this driver side — ``load_index_view``,
 ``_query_plan``, ``_merge_partials_local`` and ``finish_results`` — and
@@ -438,14 +440,14 @@ class _DecodeCache:
 # pruned wins 2x at k=10.  Above the cutoff, score DENSELY: one
 # reusable float64 accumulator over the slice's doc range, scatter-add
 # per term, one flatnonzero sweep per query.
-DENSE_K_CUTOFF = int(os.environ.get("GRAFT_DENSE_K_CUTOFF", "64"))
+DENSE_K_CUTOFF = 64
 # ... but only on wide doc ranges: A/B (alternating fresh processes,
 # best-of-5 × 2) shows pruned still wins at 120k docs even at k=1000
 # (0.76-0.99 s vs 1.25-1.49 s per 200-query batch), break-even at
 # ~1.2M docs (2.5 s both), dense 2.6x ahead at 3.2M-doc slices.  The
 # dense path's per-query O(range) mask sweep + accumulator reset is
 # pure overhead on small ranges where the candidate merge is cheap.
-DENSE_MIN_RANGE = int(os.environ.get("GRAFT_DENSE_MIN_RANGE", "1500000"))
+DENSE_MIN_RANGE = 1_500_000
 # Accumulator memory is 9 bytes/doc (f64 + bool); cap the slice width
 # it is attempted for (16M docs = 144 MB/task) — wider slices keep the
 # sort-based path.
@@ -453,14 +455,14 @@ DENSE_RANGE_CAP = 16_000_000
 # Postings-per-candidate-decode-equivalent: a per-query candidate-block
 # decode costs ~2.3 ms of fixed numpy-call overhead ≈ decoding ~25k
 # postings at the measured ~12M postings/s full-decode rate.
-SHARED_DECODE_C = int(os.environ.get("GRAFT_SHARED_DECODE_C", "25000"))
+SHARED_DECODE_C = 25_000
 # Singleton terms up to this df are bulk-primed (see score_range's
 # decode policy): near-certain to be fully decoded anyway, and priming
 # replaces their per-term decode calls with fused chunk passes.
-PRIME_SINGLE_DF = int(os.environ.get("GRAFT_PRIME_SINGLE_DF", "8000"))
+PRIME_SINGLE_DF = 8000
 # Target queries per scatter batch on the pruned path (see search()):
 # fixes total work independent of cluster width.
-QBATCH_TARGET = int(os.environ.get("GRAFT_QBATCH_TARGET", "512"))
+QBATCH_TARGET = 512
 
 
 def score_range(
@@ -529,11 +531,12 @@ def score_range(
             qi = int(f_qi[j])
             q_terms.setdefault(qi, []).extend(parts)
             q_weights.setdefault(qi, []).extend([float(f_w[j])] * len(parts))
-        # decode policy (cost model, tools/prof_query.py): a per-query
-        # candidate-block decode costs a fixed ~2.3 ms of numpy call
-        # overhead ≈ SHARED_DECODE_C postings of bulk decode, so a
-        # SHARED term whose full postings cost less than its batch
-        # uses' worth of candidate decodes is bulk-decoded upfront.
+        # decode policy (cost model from BASELINE.md's query-path
+        # profiling round): a per-query candidate-block decode costs a
+        # fixed ~2.3 ms of numpy call overhead ≈ SHARED_DECODE_C
+        # postings of bulk decode, so a SHARED term whose full postings
+        # cost less than its batch uses' worth of candidate decodes is
+        # bulk-decoded upfront.
         # Small SINGLETON terms (df ≤ PRIME_SINGLE_DF) are primed too:
         # low df → high idf → they lead their query's term order and
         # get fully decoded anyway, just through thousands of per-term
@@ -543,11 +546,7 @@ def score_range(
             df_total <= PRIME_SINGLE_DF
         ):
             prime_rows.extend(parts)
-    if (
-        prime_rows
-        and hasattr(decoded, "prime")
-        and os.environ.get("GRAFT_PRIME", "1") == "1"
-    ):
+    if prime_rows and hasattr(decoded, "prime"):
         decoded.prime(prime_rows)
 
     def emit(qi: int, doc: np.ndarray, score: np.ndarray) -> None:
@@ -831,39 +830,6 @@ def score_slice(
     ))
 
 
-def make_merge_topk(plan_ref, k: int, num_docs: int, legacy_pad: bool):
-    """groupby(qi) merge of disjoint per-group partials → final top-k,
-    with dense-doc_id zero-match padding (module docstring)."""
-
-    def merge_topk(tbl: pa.Table) -> pa.Table:
-        plan = ray.get(plan_ref)
-        qi = int(tbl.column("qi")[0].as_py())
-        doc = tbl.column("doc_id").to_numpy()
-        score = tbl.column("score").to_numpy()
-        order = np.lexsort((doc, -score))[:k]
-        doc, score = doc[order], score[order]
-        if doc.size < k and legacy_pad and num_docs > doc.size:
-            have = set(doc.tolist())
-            pad = [d for d in range(min(num_docs, k + len(have))) if d not in have]
-            pad = pad[: k - doc.size]
-            doc = np.concatenate([doc, np.array(pad, dtype=np.int64)])
-            score = np.concatenate(
-                [score, np.full(len(pad), plan["qconst"][qi], dtype=np.float64)]
-            )
-        qid = plan["qids"][qi]
-        return pa.table(
-            {
-                "qid": pa.array([qid] * doc.size, type=pa.string()),
-                "doc_id": pa.array(doc, type=pa.int64()),
-                "rank": pa.array(np.arange(1, doc.size + 1, dtype=np.int32)),
-                "score": pa.array(score, type=pa.float64()),
-            },
-            schema=RESULT_SCHEMA,
-        )
-
-    return merge_topk
-
-
 def _collect_arrow(refs: list) -> pa.Table:
     """Gather the scoring tasks' partial tables on the driver."""
     return _concat_partials(ray.get(refs))
@@ -985,11 +951,6 @@ def _empty_query_results(plan: dict, k: int, num_docs: int, legacy_pad: bool) ->
     )
 
 
-# Partial rows (Q × k × groups × slices) up to which search() merges on
-# the driver; above it the merge is a distributed Ray Data groupby.
-DRIVER_MERGE_ROWS = 30_000_000
-
-
 @dataclass
 class IndexView:
     """The manifest as both query entry points (search() and
@@ -1097,9 +1058,10 @@ def search(
     """Retrieve top-k (qid, doc_id, rank, score) for every query.
 
     One ``score_slice`` Ray task per (group, doc slice, query batch)
-    scores against the ``ray.put`` plan; the driver gathers the partial
-    top-k tables with one ``ray.get`` and merges them (module
-    docstring).  The result is a Dataset over that one Arrow table.
+    scores against the ``ray.put`` plan; the driver gathers and merges
+    the partial top-k tables one query batch at a time, then adds the
+    rows for unscored queries and the join-back (``finish_results``).
+    The result is a Dataset over that one Arrow table.
 
     ``groups`` restricts the search to a subset of index groups — the
     partial-index load path (the reference's mmap/query-only scripts
@@ -1239,15 +1201,13 @@ def search(
         per_group_docs = max(1, num_docs // max(1, len(gids)))
         n_slices = min(n_slices, max(1, per_group_docs // 65536))
     q_bounds = np.linspace(0, n_q, n_qbatch + 1).astype(np.int64)
-    scatter = []
+    slices = []
     for g in gids:
         bounds = np.linspace(*view.group_range(g), n_slices + 1).astype(np.int64)
         if not ranges:
             bounds[-1] = np.iinfo(np.int64).max  # unknown range: open tail
-        scatter += [
-            (view.group_dir(g), int(bounds[s]), int(bounds[s + 1]),
-             int(q_bounds[qb]), int(q_bounds[qb + 1]))
-            for qb in range(n_qbatch)
+        slices += [
+            (view.group_dir(g), int(bounds[s]), int(bounds[s + 1]))
             for s in range(n_slices)
         ]
     # norms-file mode (state/norms.py): when every group has a fresh
@@ -1257,40 +1217,31 @@ def search(
     from ..state.norms import has_norms
 
     norms_index = index_dir if has_norms(index_dir, view.man) else None
+    # one task list per q-batch, submitted in the order the merge
+    # below consumes them
     refs = [
-        score_slice.remote(
-            plan_ref, item, params, view.avgdl, k, view.cfg.block_size,
-            mode == "pruned", view.dense_pad, norms_index,
-        )
-        for item in scatter
+        [
+            score_slice.remote(
+                plan_ref, (gdir, lo, hi, int(q_bounds[qb]), int(q_bounds[qb + 1])),
+                params, view.avgdl, k, view.cfg.block_size,
+                mode == "pruned", view.dense_pad, norms_index,
+            )
+            for gdir, lo, hi in slices
+        ]
+        for qb in range(n_qbatch)
     ]
     offsets = load_offsets(index_dir) if join_back else None
 
-    # The partials are Q × k × n_tasks tiny rows.  Up to
-    # DRIVER_MERGE_ROWS the merge runs driver-side (vectorized numpy) —
-    # a sort-based Ray shuffle costs seconds of fixed latency for
-    # kilobytes of data.  dense_pad: slices already merged padding by
-    # score — the global merge is a plain tie-normalized top-k.  Each
-    # query appears only in its own q-batch's tasks, so partial volume
-    # is Q x k x (groups x slices) — NOT x len(scatter).
-    n_partial_est = n_q * k * len(gids) * n_slices
-    if n_partial_est <= DRIVER_MERGE_ROWS:
-        merged = _merge_partials_local(
-            _collect_arrow(refs), plan, k, num_docs, view.legacy_pad
+    # A query's partials come only from its own q-batch's tasks, so the
+    # driver merges one q-batch at a time: merge memory is one q-batch's
+    # Q_b × k × (groups × slices) partial rows, and the q-batch results
+    # concatenate in (qi, score desc, doc_id) order.  dense_pad: slices
+    # already merged padding by score — the merge is a plain
+    # tie-normalized top-k.
+    merged = pa.concat_tables([
+        _merge_partials_local(
+            _collect_arrow(qb_refs), plan, k, num_docs, view.legacy_pad
         )
-        return rd.from_arrow(finish_results(merged, plan, k, view, offsets))
-
-    merged = rd.from_arrow_refs(refs).groupby("qi").map_groups(
-        make_merge_topk(plan_ref, k, num_docs, view.legacy_pad),
-        batch_format="pyarrow",
-    )
-    extra = _empty_query_results(plan, k, num_docs, view.legacy_pad)
-    if extra.num_rows:
-        merged = merged.union(rd.from_arrow(extra))
-    if offsets is not None:
-        off_ref = ray.put(offsets)
-        merged = merged.map_batches(
-            lambda batch: _join_back(batch, ray.get(off_ref)),
-            batch_format="pyarrow",
-        )
-    return merged
+        for qb_refs in refs
+    ])
+    return rd.from_arrow(finish_results(merged, plan, k, view, offsets))

@@ -1,7 +1,7 @@
 """Force the at-scale code branches (distributed conv-offsets groupby,
-distributed vocab aggregation, distributed query merge) that the
-driver-side fast paths normally shadow below DRIVER_SIDE_ROWS /
-DRIVER_MERGE_ROWS."""
+distributed vocab aggregation) that the driver-side fast paths normally
+shadow below DRIVER_SIDE_ROWS, and check that search()'s per-query-batch
+driver merge is rank-identical however the queries are batched."""
 
 from __future__ import annotations
 
@@ -67,20 +67,41 @@ def _ranked(ds):
 
 
 @pytest.mark.parametrize("k", [10, 1000])
-def test_distributed_merge_matches_local(two_group_index, monkeypatch, k):
-    """DRIVER_MERGE_ROWS = 0 routes every batch through the Ray Data
-    groupby merge over the task refs; ranks must equal the driver merge."""
+def test_qbatch_merge_matches_single_batch(two_group_index, k):
+    """One q-batch per query merges each query on its own; ranks must
+    equal one merge over every query's partials."""
     import pandas as pd
 
+    queries = synthesize_queries(12, seed=4) + [("q_oov", "zzqqxnotaword")]
+    one = _ranked(search(two_group_index, queries, k=k, n_qbatch=1))
+    many = _ranked(search(two_group_index, queries, k=k, n_qbatch=len(queries)))
+    assert set(one["qid"]) == {q for q, _ in queries}
+    cols = ["qid", "doc_id", "rank", "conv_id", "turn_idx"]
+    pd.testing.assert_frame_equal(one[cols], many[cols])
+    np.testing.assert_allclose(one["score"], many["score"], atol=1e-12)
+
+
+def test_merge_runs_once_per_qbatch(two_group_index, monkeypatch):
+    """The driver merges one q-batch at a time: one merge call per
+    q-batch, each seeing only its own q-batch's queries."""
     import bm25_benchmarks_ray.pipelines.query as query
 
-    queries = synthesize_queries(12, seed=4) + [("q_oov", "zzqqxnotaword")]
-    local = _ranked(search(two_group_index, queries, k=k))
-    monkeypatch.setattr(query, "DRIVER_MERGE_ROWS", 0)
-    dist = _ranked(search(two_group_index, queries, k=k))
-    cols = ["qid", "doc_id", "rank", "conv_id", "turn_idx"]
-    pd.testing.assert_frame_equal(local[cols], dist[cols])
-    np.testing.assert_allclose(local["score"], dist["score"], atol=1e-12)
+    seen = []
+    real = query._merge_partials_local
+
+    def record(tbl, *a, **kw):
+        seen.append(tbl.column("qi").to_numpy().copy())
+        return real(tbl, *a, **kw)
+
+    monkeypatch.setattr(query, "_merge_partials_local", record)
+    queries = synthesize_queries(12, seed=4)
+    n_qbatch = 4
+    search(two_group_index, queries, k=10, n_qbatch=n_qbatch)
+    assert len(seen) == n_qbatch
+    q_bounds = np.linspace(0, len(queries), n_qbatch + 1).astype(np.int64)
+    for qb, qi in enumerate(seen):
+        assert qi.size
+        assert q_bounds[qb] <= qi.min() and qi.max() < q_bounds[qb + 1], qb
 
 
 def test_local_search_starts_no_ray_data_job(two_group_index, monkeypatch):

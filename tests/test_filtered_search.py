@@ -189,6 +189,25 @@ def test_compose_shards_no_user_filter(ray_session):
         assert np.array_equal(sh.mask(lo, hi), ref[lo:hi])
 
 
+def test_compose_shards_unsorted_tombstones(ray_session):
+    """Tombstone ids arrive in any order; each group's shard must clear
+    exactly the bits the sorted input clears."""
+    from bm25_benchmarks_ray.pipelines.docfilter import compose_shards
+
+    n = 50
+    ranges = [(0, 21), (21, 50)]
+    deleted = np.array([1, 4, 9, 20, 21, 22, 30, 41, 49], dtype=np.int64)
+    shuffled = np.random.RandomState(3).permutation(deleted)
+    assert not np.array_equal(shuffled, deleted)
+    want = compose_shards(ranges, n, deleted_ids=deleted)
+    got = compose_shards(ranges, n, deleted_ids=shuffled)
+    ref = np.ones(n, dtype=bool)
+    ref[deleted] = False
+    for lo, hi in ranges:
+        assert np.array_equal(got.mask(lo, hi), want.mask(lo, hi)), (lo, hi)
+        assert np.array_equal(got.mask(lo, hi), ref[lo:hi]), (lo, hi)
+
+
 def test_allowed_shards_distributed_matches_bitmap(ray_session):
     """Fully-distributed shard build (no corpus-wide array on the
     driver) == the full-bitmap build, sliced per group."""

@@ -104,6 +104,17 @@ def test_positions_path_equals_fallback(poscorpus, gap):
         b.sort_values(key).reset_index(drop=True))
 
 
+@pytest.mark.parametrize("positions", ["off", "force"])
+def test_phrase_duplicate_qids_raise(poscorpus, positions):
+    """The re-tokenize fallback would collapse duplicate qids while the
+    positions path kept them all; both paths reject them up front."""
+    idx, d, _ = poscorpus
+    queries = [("q0", "alpha beta"), ("q1", "table scan"),
+               ("q0", "beta gamma")]
+    with pytest.raises(ValueError, match="duplicate phrase qids.*q0"):
+        phrase_topk(idx, d, queries, k=10, positions=positions)
+
+
 def test_positions_build_idempotent(poscorpus):
     idx, d, _ = poscorpus
     marker = os.path.join(positions_dir(idx), "group=0", POS_DONE)
