@@ -361,14 +361,17 @@ def run_ext_bench(docs_sf: float = 1.0, n_events: int = 10_000_000) -> dict:
     phrase_topk(pidx, dpath, qs, k=10, gap=3, positions="off")
     out["near_topk_s"] = round(time.perf_counter() - t0, 3)
 
-    # positions path A/B (round-5): one-time sidecar build (cached
-    # across runs), then the same worst-case hot-term batches resolved
-    # index-only — no corpus text read
+    # positions path A/B (round-5): a full sidecar build (the previous
+    # run's sidecar is removed first, so the row times a build, not a
+    # resume no-op), then the same worst-case hot-term batches
+    # resolved index-only — no corpus text read
     from bm25_benchmarks_ray.pipelines.positions import (
         build_positions,
         has_positions,
+        positions_dir,
     )
 
+    shutil.rmtree(positions_dir(pidx), ignore_errors=True)
     t0 = time.perf_counter()
     build_positions(pidx, dpath)
     if not has_positions(pidx):

@@ -5,10 +5,10 @@ metadata-filter primitive every production search stack layers on BM25
 (Lucene's filter clauses, PISA/ES filtered queries).  The engine-side
 contract is one packed uint8 bitmap over [0, num_docs) — bit d
 (little-endian within the byte: byte ``d >> 3``, bit ``d & 7``) set
-iff doc d is eligible.  ``pipelines.query.search(allowed=...)`` ships
-the bitmap once via the broadcast query plan (``ray.put``), and every
-scoring task unpacks ONLY its own doc-range slice (``hi - lo`` bits),
-so per-task cost is range/8 bytes of read + one vectorized mask.
+iff doc d is eligible.  ``pipelines.query.search(allowed=...)``
+publishes it per group (``BitmapShards`` below), and every scoring
+task unpacks ONLY its own doc-range slice (``hi - lo`` bits), so
+per-task cost is range/8 bytes of read + one vectorized mask.
 
 Collection statistics (N, df, avgdl) deliberately stay those of the
 FULL corpus — the Lucene/ES filtered-query semantics: a filter narrows
@@ -22,10 +22,11 @@ the sharded publication: per-group byte slices keyed by the manifest's
 contiguous (doc_lo, doc_hi) ranges, each ``ray.put`` as its OWN
 object, so a scoring task fetches only its group's slice (the object
 store moves range/8 bytes to that node, never the corpus-wide array).
-``pipelines.query.search`` builds shards whenever group ranges are
-recorded (every index this engine writes); the single-array plan field
-survives only as the fallback for range-less legacy indexes and the
-resident serving actors (whose doc span is one group by construction).
+Shards are the only mask form the scorers read: ``search`` and
+``serve.BM25Server`` compose every filter, tombstone set and boolean
+eligibility bitmap into them (``query.compose_masks``), which needs
+the manifest's per-group doc ranges (every index this engine writes
+records them).
 """
 
 from __future__ import annotations
@@ -152,6 +153,19 @@ def compose_shards(
     Bits outside a group's doc range (boundary-byte padding) are never
     read, so they are left as-is.
     """
+    if isinstance(user, BitmapShards):
+        if user.num_docs != num_docs:
+            raise ValueError(
+                f"allowed shards cover num_docs={user.num_docs}, "
+                f"index has {num_docs}"
+            )
+    elif user is not None:
+        user = np.ascontiguousarray(user, dtype=np.uint8)
+        if user.size != bitmap_nbytes(num_docs):
+            raise ValueError(
+                f"allowed bitmap is {user.size} bytes, need "
+                f"{bitmap_nbytes(num_docs)} for num_docs={num_docs}"
+            )
     ranges = sorted(ranges)
     # sorted once: each group's ids are one searchsorted span
     deleted = (np.sort(np.asarray(deleted_ids, dtype=np.int64))
@@ -167,7 +181,7 @@ def compose_shards(
             sl = np.asarray(ray.get(user.refs[i]))
             buf = sl[b0 - u0 : b1 - u0].copy()
         else:
-            buf = np.asarray(user, dtype=np.uint8)[b0:b1].copy()
+            buf = user[b0:b1].copy()
         if deleted is not None and deleted.size:
             i0, i1 = np.searchsorted(deleted, (g_lo, g_hi))
             d = deleted[i0:i1]

@@ -693,14 +693,21 @@ def load_offsets(index_dir: str) -> pd.DataFrame | None:
 def docmap_from_offsets(offsets: pd.DataFrame, doc_ids: np.ndarray) -> pd.DataFrame:
     """Vectorized doc_id → (conv_id, turn_idx) join-back using only the
     tiny offsets table (base = prefix sum of turns per conv): conv is
-    searchsorted(base), turn = doc_id - base[conv]."""
+    searchsorted(base); turn = doc_id - base[conv], the turn's rank in
+    its conversation, which is its ``turn_idx`` on dense corpora.
+    Sparse-turn corpora carry each conversation's sorted turn list
+    (``turns``); laid end to end they are in doc-id order."""
     base = offsets["base"].to_numpy(dtype=np.int64)
     conv = np.searchsorted(base, doc_ids, side="right") - 1
+    if "turns" in offsets:
+        turn = np.concatenate(offsets["turns"].to_list())[doc_ids]
+    else:
+        turn = doc_ids - base[conv]
     return pd.DataFrame(
         {
             "doc_id": doc_ids,
             "conv_id": offsets["conv_id"].to_numpy()[conv],
-            "turn_idx": (doc_ids - base[conv]).astype(np.int32),
+            "turn_idx": turn.astype(np.int32),
         }
     )
 

@@ -8,10 +8,11 @@ format:
 
 **Conjunctive AND** (``bool_and_topk``) — docs containing ALL query
 terms, ranked by the ordinary BM25 score.  Pure composition: the
-phrase-candidate intersection below builds a packed doc-id bitmap
-(pipelines/docfilter.py) and hands it to ``search(allowed=...)`` —
-the filtered-retrieval machinery does the rest (mask applied inside
-the scorers, stats stay full-corpus).
+phrase-candidate intersection below builds a packed doc-id bitmap per
+query (pipelines/docfilter.py) and the whole batch goes to ONE
+``search(allowed=[bitmap per query])`` — the filtered-retrieval
+machinery does the rest (mask applied inside the scorers, stats stay
+full-corpus).
 
 **Exact phrase** (``phrase_topk``) — the two-phase positions-free
 design:
@@ -77,7 +78,6 @@ import os
 from collections import Counter
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
@@ -708,6 +708,42 @@ def phrase_topk(
     )
 
 
+_BOOL_SCHEMA = pa.schema([("qid", pa.string()), ("doc_id", pa.int64()),
+                          ("rank", pa.int64()), ("score", pa.float64())])
+
+
+def _masked_topk(
+    index_dir: str,
+    jobs: list[tuple[str, str, np.ndarray]],
+    k: int,
+    params: BM25Params,
+    cfg: IndexConfig,
+) -> pa.Table:
+    """The boolean entry points' shared tail: ONE ``search()`` over
+    every (qid, score text, eligibility bitmap) job, each query masked
+    by its own bitmap; scores rounded to 6 decimals and re-ranked
+    (qid, score desc, doc_id asc)."""
+    if not jobs:
+        return _BOOL_SCHEMA.empty_table()
+    res = search(
+        index_dir, [(q, t) for q, t, _ in jobs], params=params, k=k,
+        cfg=cfg, join_back=False, allowed=[bm for _, _, bm in jobs],
+    )
+    tbl = pa.concat_tables(ray.get(res.to_arrow_refs()))
+    tbl = pa.table({
+        "qid": tbl.column("qid"), "doc_id": tbl.column("doc_id"),
+        "score": np.round(tbl.column("score").to_numpy(), 6),
+    })
+    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
+        ("qid", "ascending"), ("score", "descending"), ("doc_id", "ascending"),
+    ]))
+    q = tbl.column("qid").to_numpy(zero_copy_only=False)
+    first = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
+    rank = np.arange(1, q.size + 1) - np.repeat(
+        first, np.diff(np.append(first, q.size)))
+    return tbl.add_column(2, "rank", pa.array(rank, type=pa.int64()))
+
+
 def bool_and_topk(
     index_dir: str,
     queries: list[tuple[str, str]],
@@ -718,10 +754,11 @@ def bool_and_topk(
     """Conjunctive top-k: BM25 ranking restricted to docs containing
     ALL of each query's terms (Lucene BooleanQuery.MUST).  A query with
     an out-of-vocab term returns nothing (strict AND); fewer than k
-    conjunctive matches return fewer rows.  Per query: one posting-list
-    intersection → ``search(allowed=bitmap)`` (docfilter mask inside
-    the scorers; full-corpus idf/avgdl, identical score values to the
-    unfiltered ranking)."""
+    conjunctive matches return fewer rows.  One batched posting-list
+    intersection builds every query's bitmap, then ONE
+    ``search(allowed=[bitmap per query])`` scores the whole batch
+    (docfilter mask inside the scorers; full-corpus idf/avgdl,
+    identical score values to the unfiltered ranking)."""
     params = params or BM25Params()
     man = Manifest.load(index_dir)
     if man is None or not man.is_complete():
@@ -740,34 +777,11 @@ def bool_and_topk(
     bms = _postings_bitmaps(
         index_dir, [(q, t, "and") for q, t in q_terms.items()], man=man
     ) if q_terms else {}
-    frames: list[pd.DataFrame] = []
-    for qid, text in queries:
-        bm = bms.get(qid)
-        if bm is None or not bm.any():
-            continue
-        res = search(
-            index_dir, [(qid, text)], params=params, k=k, cfg=cfg,
-            join_back=False, allowed=bm,
-        ).to_pandas()
-        frames.append(res)
-    if not frames:
-        return pa.table(
-            {"qid": pa.array([], type=pa.string()),
-             "doc_id": pa.array([], type=pa.int64()),
-             "rank": pa.array([], type=pa.int64()),
-             "score": pa.array([], type=pa.float64())}
-        )
-    res = pd.concat(frames, ignore_index=True)
-    res["score"] = res["score"].round(6)
-    res = res.sort_values(["qid", "score", "doc_id"],
-                          ascending=[True, False, True])
-    res["rank"] = res.groupby("qid").cumcount() + 1
-    return pa.table(
-        {"qid": pa.array(res["qid"], type=pa.string()),
-         "doc_id": pa.array(res["doc_id"], type=pa.int64()),
-         "rank": pa.array(res["rank"].astype(np.int64)),
-         "score": pa.array(res["score"], type=pa.float64())}
-    )
+    jobs = [
+        (qid, text, bm) for qid, text in queries
+        if (bm := bms.get(qid)) is not None and bm.any()
+    ]
+    return _masked_topk(index_dir, jobs, k, params, cfg)
 
 
 def bool_query_topk(
@@ -790,9 +804,10 @@ def bool_query_topk(
 
     Bitmap algebra on the docfilter layout: AND-intersection bitmap
     for must (posting-list intersection), OR-union bitmap for
-    must_not, eligibility = must & ~must_not, then one
-    ``search(allowed=...)`` per query — the exclusion never touches
-    the scorers, it is pure mask composition."""
+    must_not, eligibility = must & ~must_not, then ONE
+    ``search(allowed=[eligibility per query])`` for the whole batch —
+    the exclusion never touches the scorers, it is pure mask
+    composition."""
     params = params or BM25Params()
     man = Manifest.load(index_dir)
     if man is None or not man.is_complete():
@@ -819,43 +834,19 @@ def bool_query_topk(
             scan_specs.append((f"n:{qid}", n_of[qid], "or"))
     bms = _postings_bitmaps(index_dir, scan_specs, man=man) if scan_specs else {}
 
-    frames: list[pd.DataFrame] = []
+    # one shared all-docs object: queries with no must clause publish
+    # one composed mask between them
+    all_docs = invert_bitmap(
+        np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8), num_docs
+    )
+    jobs: list[tuple[str, str, np.ndarray]] = []
     for qid, must, should, must_not in specs:
-        if m_of[qid]:
-            bm = bms[f"m:{qid}"]
-            if not bm.any():
-                continue
-        else:
-            bm = invert_bitmap(
-                np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8), num_docs
-            )
+        bm = bms[f"m:{qid}"] if m_of[qid] else all_docs
         if n_of[qid]:
             bm = bm & invert_bitmap(bms[f"n:{qid}"], num_docs)
-            if not bm.any():
-                continue
         score_text = (must + " " + should).strip()
-        if not toks(score_text):
-            continue  # nothing to rank by (must and should all stopword/OOV)
-        res = search(
-            index_dir, [(qid, score_text)], params=params, k=k, cfg=cfg,
-            join_back=False, allowed=bm,
-        ).to_pandas()
-        frames.append(res)
-    if not frames:
-        return pa.table(
-            {"qid": pa.array([], type=pa.string()),
-             "doc_id": pa.array([], type=pa.int64()),
-             "rank": pa.array([], type=pa.int64()),
-             "score": pa.array([], type=pa.float64())}
-        )
-    res = pd.concat(frames, ignore_index=True)
-    res["score"] = res["score"].round(6)
-    res = res.sort_values(["qid", "score", "doc_id"],
-                          ascending=[True, False, True])
-    res["rank"] = res.groupby("qid").cumcount() + 1
-    return pa.table(
-        {"qid": pa.array(res["qid"], type=pa.string()),
-         "doc_id": pa.array(res["doc_id"], type=pa.int64()),
-         "rank": pa.array(res["rank"].astype(np.int64)),
-         "score": pa.array(res["score"], type=pa.float64())}
-    )
+        # no eligible doc, or nothing to rank by (must and should all
+        # stopword/OOV)
+        if bm.any() and toks(score_text):
+            jobs.append((qid, score_text, bm))
+    return _masked_topk(index_dir, jobs, k, params, cfg)

@@ -351,8 +351,10 @@ def decode_position_row(
 def positions_for_terms(
     group_dir: str, terms: list[str]
 ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """term → (docs, dls, counts, abs_positions) for one group, parts
-    concatenated in d0 order (the parquet rows' order)."""
+    """term → (docs, dls, counts, abs_positions) for one group.  A term
+    split across sort partitions has one row per part, with disjoint
+    doc spans; the parts are concatenated in first-doc order, never in
+    the order the dataset lists its files."""
     t = pads.dataset(group_dir).to_table(
         filter=pc.field("term").isin(terms)
     )
@@ -367,6 +369,8 @@ def positions_for_terms(
                 t.column("poss")[i].as_py(),
             )
         )
+    for parts in out.values():
+        parts.sort(key=lambda p: p[0][0])  # every part holds >= 1 doc
     return {
         term: tuple(
             np.concatenate([p[j] for p in parts]) for j in range(4)

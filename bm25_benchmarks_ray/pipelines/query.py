@@ -65,6 +65,7 @@ from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, nonoccurrence_shape, tf_shape
 from ..functions.tokenizer import resolve_stemmer, resolve_stopwords, tokenize_text
 from ..state.manifest import Manifest
+from .docfilter import BitmapShards
 from .index_build import SEGMENTS_DIR, VOCAB_DIR, docmap_from_offsets, load_offsets
 
 RESULT_SCHEMA = pa.schema(
@@ -487,28 +488,27 @@ def score_range(
     exact range."""
     from ..stages.blockmax import score_query_pruned
 
-    # filtered search (plan["allowed"]: packed bitmap, docfilter.py):
-    # unpack ONLY this range's slice; disallowed docs are dropped from
-    # every matched set before top-k, and padding draws from allowed
-    # ids only.  Pruning is off under a mask — block-max bounds ignore
-    # the filter, so the pruned scorer's early top-k could be crowded
-    # by disallowed docs; the dense/sort exhaustive paths stay exact.
-    allow_slice = None
-    shards = plan.get("allowed_shards")
-    if shards is not None:
-        # sharded publication: fetch ONLY this range's group slice
-        # (BitmapShards caches the get per plan instance, so the rows
-        # of one task batch sharing a group fetch it once)
-        allow_slice = shards.mask(lo, hi)
+    # filtered search (plan["allowed_shards"]: distinct per-group
+    # BitmapShards sets, plan["mask_of"]: each query's set): fetch ONLY
+    # this range's group slice, once per distinct set; disallowed docs
+    # are dropped from every matched set before top-k, and padding
+    # draws from allowed ids only.  Pruning is off under a mask —
+    # block-max bounds ignore the filter, so the pruned scorer's early
+    # top-k could be crowded by disallowed docs; the dense/sort
+    # exhaustive paths stay exact.
+    shard_sets = plan.get("allowed_shards")
+    slices_of: dict[int, np.ndarray] = {}
+    if shard_sets is not None:
         prune = False
-    else:
-        allowed_bits = plan.get("allowed")
-        if allowed_bits is not None:
-            from .docfilter import bitmap_slice
 
-            hi_eff = min(hi, int(allowed_bits.size) << 3)
-            allow_slice = bitmap_slice(allowed_bits, lo, hi_eff)
-            prune = False
+    def allowed_in_range(qi: int) -> np.ndarray | None:
+        if shard_sets is None:
+            return None
+        j = int(plan["mask_of"][qi])
+        s = slices_of.get(j)
+        if s is None:
+            s = slices_of[j] = shard_sets[j].mask(lo, hi)
+        return s
 
     out_qi: list[np.ndarray] = []
     out_doc: list[np.ndarray] = []
@@ -564,6 +564,7 @@ def score_range(
         rows = q_terms.get(qi)
         ws = q_weights.get(qi, [])
         qc = float(plan["qconst"][qi])
+        allow_slice = allowed_in_range(qi)
         all_pos = all(w > 0 for w in ws)
         # strict positivity: a w == 0 term (atire idf at df == N) can
         # leave matched docs tied AT qconst, where unmatched lower ids
@@ -1041,6 +1042,38 @@ def finish_results(
     return merged if offsets is None else _join_back(merged, offsets)
 
 
+def compose_masks(view: IndexView, allowed: list) -> tuple[list, np.ndarray] | None:
+    """The plan's mask fields, shared by ``search()`` and ``BM25Server``:
+    each distinct per-query mask (packed bitmap, ``BitmapShards`` or
+    None; distinct by identity) ANDed with the index's tombstones and
+    published once as per-group ``BitmapShards`` (``compose_shards``),
+    plus each query's index into that list.  None when no query is
+    masked and nothing is deleted."""
+    from .docfilter import compose_shards
+    from .tombstones import load_tombstones
+
+    deleted = load_tombstones(view.index_dir)
+    if deleted is not None and deleted.size == 0:
+        deleted = None
+    if deleted is None and all(a is None for a in allowed):
+        return None
+    if not view.ranges:
+        raise ValueError(
+            "filtered search requires contiguous per-group doc ranges"
+        )
+    ranges = sorted(view.ranges.values())
+    sets: list[BitmapShards] = []
+    set_of: dict[int, int] = {}
+    mask_of = np.empty(len(allowed), dtype=np.int32)
+    for qi, a in enumerate(allowed):
+        if id(a) not in set_of:
+            set_of[id(a)] = len(sets)
+            sets.append(compose_shards(
+                ranges, view.num_docs, user=a, deleted_ids=deleted))
+        mask_of[qi] = set_of[id(a)]
+    return sets, mask_of
+
+
 def search(
     index_dir: str,
     queries: list[tuple[str, str]],
@@ -1053,7 +1086,7 @@ def search(
     groups: list[int] | None = None,
     n_qbatch: int | None = None,
     n_slices: int | None = None,
-    allowed: np.ndarray | None = None,
+    allowed: np.ndarray | BitmapShards | list | None = None,
 ) -> rd.Dataset:
     """Retrieve top-k (qid, doc_id, rank, score) for every query.
 
@@ -1073,84 +1106,40 @@ def search(
 
     ``allowed`` — filtered retrieval: a packed uint8 bitmap over
     [0, num_docs) OR a pre-published ``docfilter.BitmapShards``
-    restricting results to the set bits.  Collection stats (N, df,
-    avgdl) stay full-corpus (the Lucene/ES filtered-query semantics);
-    ranking, ties and qconst padding are all confined to allowed docs.
-    Whenever the index records contiguous group doc ranges the mask is
-    (re)published as per-group shards — one object per group, fetched
-    slice-wise by each scoring task, so no corpus-wide array ever
-    ships; a full array in the plan survives only for range-less
-    legacy indexes.  Forces the exhaustive scorer (pruning bounds
-    ignore the mask)."""
+    restricting results to the set bits, or a list aligned with
+    ``queries`` holding one such mask per query (a Q-query boolean
+    batch is one call).  Collection stats (N, df, avgdl) stay
+    full-corpus (the Lucene/ES filtered-query semantics); ranking,
+    ties and qconst padding are all confined to allowed docs.  Each
+    distinct mask is ANDed with the index's tombstones and published
+    as per-group shards (``compose_masks``) — one object per group,
+    fetched slice-wise by each scoring task, so no corpus-wide array
+    ever ships.  Masked search needs contiguous per-group doc ranges
+    (every index this engine writes records them; a compaction across
+    a doc-id hole does not) and raises ``ValueError`` without them.
+    Forces the exhaustive scorer (pruning bounds ignore the mask)."""
+    for name, n in (("n_qbatch", n_qbatch), ("n_slices", n_slices)):
+        if n is not None and n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     params = params or BM25Params()
     view = load_index_view(index_dir, cfg, dense_ids, groups)
     num_docs, gids, ranges = view.num_docs, view.gids, view.ranges
 
-    from .docfilter import BitmapShards
-
-    if isinstance(allowed, BitmapShards):
-        if allowed.num_docs != num_docs:
-            raise ValueError(
-                f"allowed shards cover num_docs={allowed.num_docs}, "
-                f"index has {num_docs}"
-            )
-    elif allowed is not None:
-        allowed = np.ascontiguousarray(allowed, dtype=np.uint8)
-        need = (num_docs + 7) >> 3
-        if allowed.size != need:
-            raise ValueError(
-                f"allowed bitmap is {allowed.size} bytes, need {need} "
-                f"for num_docs={num_docs}"
-            )
-
-    # index-level deletes (tombstones.py): folded into the allowed
-    # shards below — composes with a user filter by per-group AND
-    from .tombstones import load_tombstones
-
-    deleted = load_tombstones(index_dir)
-    if deleted is not None and deleted.size == 0:
-        deleted = None
-    masked = allowed is not None or deleted is not None
-    if masked:
+    per_query = allowed if isinstance(allowed, list) else [allowed] * len(queries)
+    if len(per_query) != len(queries):
+        raise ValueError(
+            f"allowed holds {len(per_query)} masks for {len(queries)} queries"
+        )
+    masks = compose_masks(view, per_query)
+    if masks is not None:
         mode = "exhaustive"
-        if view.legacy_pad:
-            # merge-side legacy padding is mask-unaware; every index
-            # this engine writes records contiguous group ranges, so
-            # this only rejects filtered search over pre-range-era
-            # indexes
-            raise ValueError(
-                "filtered search requires contiguous per-group doc ranges"
-            )
 
     plan = _query_plan(
         tokenize_queries(queries, view.cfg), index_dir, params, num_docs,
         avg_idf=view.man.stats.get("avg_robertson_idf"),
     )
-    if masked:
-        if ranges:
-            # sharded publication (docfilter.BitmapShards): one object
-            # per group, fetched slice-wise by the scoring tasks — the
-            # plan never carries a corpus-wide array
-            from .docfilter import compose_shards
-
-            plan["allowed_shards"] = compose_shards(
-                sorted(ranges.values()), num_docs,
-                user=allowed, deleted_ids=deleted,
-            )
-        else:
-            # range-less legacy index: corpus-wide array in the plan
-            if isinstance(allowed, BitmapShards):
-                raise ValueError(
-                    "sharded filter requires contiguous per-group doc ranges"
-                )
-            full = allowed
-            if deleted is not None:
-                from .docfilter import bitmap_from_ids, invert_bitmap
-
-                t_allowed = invert_bitmap(
-                    bitmap_from_ids(deleted, num_docs), num_docs)
-                full = t_allowed if full is None else full & t_allowed
-            plan["allowed"] = full
+    if masks is not None:
+        plan["allowed_shards"], plan["mask_of"] = masks
     plan_ref = ray.put(plan)
 
     # 3x CPU slots of tasks (~3 waves): q-batches are skewed (a batch

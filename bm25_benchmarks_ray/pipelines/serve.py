@@ -43,6 +43,7 @@ from .query import (
     _merge_partials_local,
     _partials_table,
     _query_plan,
+    compose_masks,
     finish_results,
     load_index_view,
     query_plan_terms,
@@ -142,15 +143,10 @@ class BM25Server:
         self.index_dir = index_dir
         self.params = params or BM25Params()
         self.view = v = load_index_view(index_dir, cfg, dense_ids)
-        # index-level deletes: the NOT-deleted bitmap rides in every
-        # plan so the scorers mask tombstoned docs (tombstones.py)
-        from .tombstones import tombstone_allowed
-
-        self.t_allowed = tombstone_allowed(index_dir, v.num_docs)
-        if self.t_allowed is not None and v.legacy_pad:
-            raise ValueError(
-                "serving a tombstoned index requires contiguous group doc ranges"
-            )
+        # index-level deletes (tombstones.py): composed once into
+        # per-group shards that ride in every plan, as in search()
+        masks = compose_masks(v, [None])
+        self.tomb_shards = None if masks is None else masks[0]
         self._df_cache: dict[str, int] = {}
         self.offsets = load_offsets(index_dir) if join_back else None
         self.actors = [
@@ -193,8 +189,9 @@ class BM25Server:
             v.num_docs, avg_idf=v.man.stats.get("avg_robertson_idf"),
             df_cache=self._df_cache,
         )
-        if self.t_allowed is not None:
-            plan["allowed"] = self.t_allowed
+        if self.tomb_shards is not None:
+            plan["allowed_shards"] = self.tomb_shards
+            plan["mask_of"] = np.zeros(len(queries), dtype=np.int32)
         return plan
 
     def search(self, queries: list[tuple[str, str]], k: int = 10) -> pd.DataFrame:

@@ -11,8 +11,9 @@ until then — replicated here exactly:
 * ``delete_docs`` unions ids into ``<index>/tombstones.parquet``
   atomically (write-tmp + rename, idempotent, crash-safe);
 * ``search``/``BM25Server`` load the sidecar and fold it into the
-  query-time allowed bitmap (docfilter.py) — composing with any
-  user-supplied filter by bitwise AND;
+  query-time per-group allowed shards (``query.compose_masks``,
+  docfilter.py) — composing with any user-supplied filter by bitwise
+  AND;
 * ``compact_index`` carries the sidecar through untouched (doc ids
   are the stable external contract — the docmap join-back — so merges
   must not renumber); reclaiming the postings and the stats is a
@@ -21,7 +22,7 @@ until then — replicated here exactly:
 
 Scale: the sidecar is one sorted int64 column — deletes are a small
 fraction of any corpus worth indexing, and the query-time cost is the
-same per-range bitmap slice the filter path already pays.
+same per-group bitmap slice the filter path already pays.
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     pq.write_table(pa.table({"doc_id": pa.array(ids, type=pa.int64())}), tmp)
     os.replace(tmp, os.path.join(index_dir, TOMBSTONES_FILE))
     return int(ids.size)
-
-
-def tombstone_allowed(index_dir: str, num_docs: int) -> np.ndarray | None:
-    """Packed allowed bitmap = NOT deleted, or None when no tombstones
-    exist (callers skip the mask entirely then)."""
-    tomb = load_tombstones(index_dir)
-    if tomb is None or tomb.size == 0:
-        return None
-    from .docfilter import bitmap_from_ids, invert_bitmap
-
-    return invert_bitmap(bitmap_from_ids(tomb, num_docs), num_docs)
 
 
 def live_count(index_dir: str) -> int:

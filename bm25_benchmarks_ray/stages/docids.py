@@ -49,7 +49,7 @@ def conv_offsets_local(files: list[str]) -> pd.DataFrame:
         .reset_index()
     )
     g["base"] = np.concatenate(([0], np.cumsum(g["n_turns"].to_numpy())[:-1]))
-    return g
+    return g if offsets_are_dense(g) else _with_turns(g, t)
 
 
 def conv_offsets(ds: rd.Dataset) -> pd.DataFrame:
@@ -78,11 +78,32 @@ def conv_offsets(ds: rd.Dataset) -> pd.DataFrame:
     pdf = agg.to_pandas()  # one row per conversation: small relative to corpus
     pdf = pdf.sort_values("conv_id", kind="mergesort").reset_index(drop=True)
     pdf["base"] = np.concatenate(([0], np.cumsum(pdf["n_turns"].to_numpy())[:-1]))
-    return pdf
+    if offsets_are_dense(pdf):
+        return pdf
+    pairs = pa.concat_tables(ray.get(
+        ds.select_columns(["conv_id", "turn_idx"]).to_arrow_refs()
+    ))
+    return _with_turns(pdf, pairs)
 
 
 def offsets_are_dense(offsets: pd.DataFrame) -> bool:
     return bool((offsets["max_turn"].to_numpy() == offsets["n_turns"].to_numpy() - 1).all())
+
+
+def _with_turns(offsets: pd.DataFrame, pairs: pa.Table) -> pd.DataFrame:
+    """Sparse-turn corpora: add each conversation's sorted source
+    ``turn_idx`` list as a ``turns`` column, so the join-back maps a
+    doc id (base + rank within the conversation) to its source turn.
+    Dense corpora (turn_idx == rank) keep the table without it."""
+    pairs = pairs.select(["conv_id", "turn_idx"]).to_pandas().sort_values(
+        ["conv_id", "turn_idx"], kind="mergesort"
+    )
+    turns = pairs["turn_idx"].to_numpy().astype(np.int64)
+    offsets["turns"] = pd.Series(
+        np.split(turns, np.cumsum(offsets["n_turns"].to_numpy())[:-1]),
+        index=offsets.index, dtype=object,
+    )
+    return offsets
 
 
 # conv count above which the broadcast offsets map stops being cheap

@@ -98,40 +98,60 @@ def test_append_then_compact(ray_session, tmp_path):
     )
 
 
-def test_compact_preserves_overlap_validation(ray_session, tmp_path):
-    """A compacted group with HOLES in its id space must still refuse an
-    overlapping append (bounding range survives compaction), and a
-    REJECTED append must leave the index complete and queryable."""
-    import pyarrow.parquet as pq
-
-    from bm25_benchmarks_ray.state.manifest import Manifest
-
-    t = pq.read_table(SRC, columns=["doc_id", "text"])
+def _holed_compacted_index(tmp_path):
+    """Docs 0..199 plus an append of docs 1000..1199, compacted into one
+    group whose id space has a hole: it records no contiguous range."""
     import pyarrow.compute as pc
 
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
     lo = t.slice(0, 200)  # ids 0..199
     hi = t.slice(200, 200).set_column(  # ids shifted to 1000..1199 (hole)
         0, "doc_id", pc.add(t.slice(200, 200).column("doc_id"), 800)
     )
-    a, b, c = (str(tmp_path / n) for n in ("a.parquet", "b.parquet", "c.parquet"))
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
     pq.write_table(lo, a)
     pq.write_table(hi, b)
-    pq.write_table(t.slice(50, 100), c)  # ids 50..149: inside the bound
-
     idx = str(tmp_path / "idx")
     build_index(a, idx, IndexConfig(), mode="documents", fresh=True)
     append_index(b, idx, IndexConfig())
-    man = compact_index(idx)
+    return idx, compact_index(idx)
+
+
+def test_compact_preserves_overlap_validation(ray_session, tmp_path):
+    """A compacted group with HOLES in its id space must still refuse an
+    overlapping append (bounding range survives compaction), and a
+    REJECTED append must leave the index complete and queryable."""
+    from bm25_benchmarks_ray.state.manifest import Manifest
+
+    idx, man = _holed_compacted_index(tmp_path)
     e = man.groups[str(man.done_groups()[0])]
     assert e["doc_lo"] is None  # holes: no exact contiguous range
     assert e["doc_bound_lo"] == 0 and e["doc_bound_hi"] == 1200
 
+    c = str(tmp_path / "c.parquet")
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    pq.write_table(t.slice(50, 100), c)  # ids 50..149: inside the bound
     with pytest.raises(ValueError, match="overlaps"):
         append_index(c, idx, IndexConfig())
     # the rejected append left the index finalized and queryable
     man2 = Manifest.load(idx)
     assert man2.is_complete() and "finalize" in man2.stages
     assert _topk(idx).shape[0] > 0
+
+
+def test_masked_search_needs_group_ranges(ray_session, tmp_path):
+    """Masks ship only as per-group shards, so a masked search over a
+    group without a contiguous doc range raises — with or without
+    dense-id padding."""
+    from bm25_benchmarks_ray.pipelines.docfilter import bitmap_from_ids
+
+    idx, man = _holed_compacted_index(tmp_path)
+    n = int(man.stats["num_docs"])
+    bm = bitmap_from_ids(np.arange(0, n, 2), n)
+    for dense_ids in (False, True):
+        with pytest.raises(ValueError, match="contiguous per-group doc ranges"):
+            search(idx, QUERIES, allowed=bm, dense_ids=dense_ids)
+    assert _topk(idx).shape[0] > 0  # unmasked search still serves it
 
 
 def _segment_rows(idx: str):

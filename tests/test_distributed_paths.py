@@ -116,3 +116,11 @@ def test_local_search_starts_no_ray_data_job(two_group_index, monkeypatch):
     ds = search(two_group_index, synthesize_queries(5, seed=8), k=10)
     monkeypatch.undo()
     assert _ranked(ds).equals(expected)
+
+
+@pytest.mark.parametrize("arg,value", [
+    ("n_qbatch", 0), ("n_qbatch", -1), ("n_slices", 0), ("n_slices", -2),
+])
+def test_scatter_counts_below_one_raise(two_group_index, arg, value):
+    with pytest.raises(ValueError, match=arg):
+        search(two_group_index, synthesize_queries(2, seed=1), **{arg: value})

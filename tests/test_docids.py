@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 from bm25_benchmarks_ray.sources.transcripts import synthesize_transcripts
@@ -131,3 +133,62 @@ def test_sparse_turn_fallback_many_convs(ray_session):
     out = assign_doc_ids(ds, offsets).to_pandas()
     ref = out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
     assert list(ref["doc_id"]) == list(range(len(ref)))
+
+
+@pytest.mark.parametrize("driver_side", [True, False])
+def test_sparse_turn_search_returns_source_turn_idx(
+    ray_session, tmp_path, monkeypatch, driver_side
+):
+    """On a corpus with gappy turn indices, search()'s join-back returns
+    each hit's source turn_idx, not its rank within the conversation —
+    on both the driver-side and the distributed offsets path."""
+    import bm25_benchmarks_ray.pipelines.index_build as ib
+    from bm25_benchmarks_ray.config import IndexConfig
+    from bm25_benchmarks_ray.pipelines.query import search
+    from bm25_benchmarks_ray.sources.transcripts import (
+        synthesize_queries,
+        synthesize_transcripts,
+    )
+
+    if not driver_side:
+        monkeypatch.setattr(ib, "DRIVER_SIDE_ROWS", 0)
+    table = synthesize_transcripts(300, seed=31)
+    table = table.filter(pa.array(np.arange(table.num_rows) % 3 != 1))
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(table, str(d / "t.parquet"))
+    idx = str(tmp_path / "index")
+    ib.build_index(str(d), idx, IndexConfig(), mode="transcripts")
+    offsets = ib.load_offsets(idx)
+    assert not offsets_are_dense(offsets)
+
+    res = search(idx, synthesize_queries(8, seed=3), k=10).to_pandas()
+    src = table.select(["conv_id", "turn_idx"]).to_pandas().sort_values(
+        ["conv_id", "turn_idx"], kind="mergesort").reset_index(drop=True)
+    doc = res["doc_id"].to_numpy()
+    assert len(res) > 0
+    assert list(res["conv_id"]) == list(src["conv_id"].to_numpy()[doc])
+    assert list(res["turn_idx"]) == list(src["turn_idx"].to_numpy()[doc])
+
+
+def test_offsets_record_sparse_turns_only(ray_session, tmp_path):
+    """Sparse-turn offsets carry each conversation's sorted turn list on
+    both offsets paths; dense offsets keep their columns unchanged."""
+    from bm25_benchmarks_ray.stages.docids import conv_offsets_local
+
+    table = pa.table({
+        "conv_id": pa.array(["b", "a", "b", "a", "a"], type=pa.string()),
+        "turn_idx": pa.array([9, 7, 3, 0, 2], type=pa.int32()),
+    })
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(table, p)
+    local = conv_offsets_local([p])
+    dist = conv_offsets(rd.from_arrow(table).repartition(2))
+    for off in (local, dist):
+        assert [list(t) for t in off["turns"]] == [[0, 2, 7], [3, 9]]
+    dense = pa.table({
+        "conv_id": pa.array(["a", "a", "b"], type=pa.string()),
+        "turn_idx": pa.array([1, 0, 0], type=pa.int32()),
+    })
+    assert list(conv_offsets(rd.from_arrow(dense))) == [
+        "conv_id", "n_turns", "max_turn", "base"]

@@ -250,6 +250,23 @@ def test_search_accepts_prepublished_shards(built):
     assert a.equals(b)
 
 
+def spy_uint8_puts(monkeypatch) -> list[int]:
+    """Record the byte size of every uint8 array passed to ``ray.put``
+    from here on (the list fills as puts happen)."""
+    import ray as ray_mod
+
+    sizes: list[int] = []
+    real_put = ray_mod.put
+
+    def spy_put(obj, *a, **kw):
+        if isinstance(obj, np.ndarray) and obj.dtype == np.uint8:
+            sizes.append(obj.nbytes)
+        return real_put(obj, *a, **kw)
+
+    monkeypatch.setattr(ray_mod, "put", spy_put)
+    return sizes
+
+
 def test_filtered_plan_ships_no_full_corpus_array(
     ray_session, tmp_path, monkeypatch
 ):
@@ -258,8 +275,6 @@ def test_filtered_plan_ships_no_full_corpus_array(
     uint8 bitmap — only per-group slices (each strictly smaller) ship.
     (Two input files → two real groups; a single-file corpus collapses
     to one group whose shard IS corpus-wide.)"""
-    import ray as ray_mod
-
     table = synthesize_transcripts(N_TURNS, seed=11)
     d = tmp_path / "corpus2"
     d.mkdir()
@@ -271,15 +286,7 @@ def test_filtered_plan_ships_no_full_corpus_array(
 
     assert len(Manifest.load(idx).done_groups()) == 2
     full_bytes = bitmap_nbytes(N_TURNS)
-    put_sizes = []
-    real_put = ray_mod.put
-
-    def spy_put(obj, *a, **kw):
-        if isinstance(obj, np.ndarray) and obj.dtype == np.uint8:
-            put_sizes.append(obj.nbytes)
-        return real_put(obj, *a, **kw)
-
-    monkeypatch.setattr(ray_mod, "put", spy_put)
+    put_sizes = spy_uint8_puts(monkeypatch)
     allow = _mask(N_TURNS, 0.5, seed=17)
     bm = bitmap_from_ids(np.flatnonzero(allow), N_TURNS)
     res = search(
@@ -290,3 +297,36 @@ def test_filtered_plan_ships_no_full_corpus_array(
     assert put_sizes, "expected per-group shard puts"
     assert all(s < full_bytes for s in put_sizes), put_sizes
     assert len(put_sizes) >= 2  # one object per group
+
+
+def test_per_query_masks_equal_one_search_per_query(built):
+    """search(allowed=[mask per query]) == one masked search per query,
+    with masks shared between queries, a pre-published shard set and an
+    unmasked (None) query in the same batch."""
+    from bm25_benchmarks_ray.pipelines.docfilter import compose_shards
+    from bm25_benchmarks_ray.state.manifest import Manifest
+
+    idx, _ = built
+    man = Manifest.load(idx)
+    ranges = [
+        (int(e["doc_lo"]), int(e["doc_hi"]))
+        for g in man.done_groups() for e in [man.groups[str(g)]]
+    ]
+    a = bitmap_from_ids(np.flatnonzero(_mask(N_TURNS, 0.4, seed=1)), N_TURNS)
+    b = compose_shards(ranges, N_TURNS, user=bitmap_from_ids(
+        np.flatnonzero(_mask(N_TURNS, 0.1, seed=2)), N_TURNS))
+    queries = synthesize_queries(5, seed=41)
+    masks = [a, b, a, None, b]
+    got = search(idx, queries, k=10, allowed=masks,
+                 join_back=False).to_pandas()
+    for q, m in zip(queries, masks):
+        want = search(idx, [q], k=10, allowed=m, join_back=False).to_pandas()
+        mine = got[got["qid"] == q[0]].reset_index(drop=True)
+        assert mine.equals(want), q
+
+
+def test_mask_list_length_must_match_queries(built):
+    idx, _ = built
+    bm = bitmap_from_ids(np.arange(5), N_TURNS)
+    with pytest.raises(ValueError, match="2 masks for 3 queries"):
+        search(idx, synthesize_queries(3, seed=1), allowed=[bm, bm])

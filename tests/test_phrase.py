@@ -402,6 +402,73 @@ def test_bool_query_exclusion_respected(corpus):
         assert "alpha" in ks and "kappa" not in ks
 
 
+def _per_query_masked(idx, jobs, n_docs, k):
+    """Reference for the boolean batches: one search(allowed=bitmap) per
+    (qid, score text, eligible doc ids) job, scores rounded to 6
+    decimals and re-ranked (qid, score desc, doc_id asc)."""
+    import pandas as pd
+
+    from bm25_benchmarks_ray.pipelines.docfilter import bitmap_from_ids
+    from bm25_benchmarks_ray.pipelines.query import search
+
+    res = pd.concat([
+        search(idx, [(q, text)], k=k, join_back=False,
+               allowed=bitmap_from_ids(np.asarray(elig), n_docs)).to_pandas()
+        for q, text, elig in jobs
+    ], ignore_index=True)
+    res["score"] = res["score"].round(6)
+    res = res.sort_values(["qid", "score", "doc_id"],
+                          ascending=[True, False, True])
+    res["rank"] = (res.groupby("qid").cumcount() + 1).astype(np.int64)
+    return res[["qid", "doc_id", "rank", "score"]].reset_index(drop=True)
+
+
+def test_bool_batches_make_one_search_call(corpus, monkeypatch):
+    """A boolean batch is ONE search() call, each eligible query masked
+    by its own eligibility bitmap; queries with no eligible doc or
+    nothing to rank by stay out of it.  Results equal one
+    search(allowed=...) per query."""
+    from bm25_benchmarks_ray.pipelines import phrase
+
+    idx, _, texts = corpus
+    kept = [set(_kept(t)) for t in texts]
+    calls = []
+    real_search = phrase.search
+
+    def spy(*a, **kw):
+        calls.append(kw["allowed"])
+        return real_search(*a, **kw)
+
+    monkeypatch.setattr(phrase, "search", spy)
+
+    and_qs = [("a0", "alpha beta"), ("a1", "gamma kappa"),
+              ("a2", "alpha zzmissing"), ("a3", "the of")]
+    got = phrase.bool_and_topk(idx, and_qs, k=10).to_pandas()
+    assert len(calls) == 1 and len(calls[0]) == 2
+    want = _per_query_masked(idx, [
+        (q, text, [d for d, ks in enumerate(kept) if set(_kept(text)) <= ks])
+        for q, text in and_qs[:2]
+    ], len(texts), 10)
+    assert got.equals(want)
+
+    specs = [
+        ("b0", "alpha", "beta gamma", "kappa"),
+        ("b1", "", "alpha beta", "kappa"),      # empty MUST: all docs
+        ("b2", "alpha", "beta", "alpha"),       # empty eligibility
+        ("b3", "beta gamma", "", ""),
+    ]
+    got = phrase.bool_query_topk(idx, specs, k=10).to_pandas()
+    assert len(calls) == 2 and len(calls[1]) == 3
+    jobs = []
+    for q, must, should, must_not in specs:
+        m, n = set(_kept(must)), set(_kept(must_not))
+        elig = [d for d, ks in enumerate(kept) if m <= ks and not n & ks]
+        if elig:
+            jobs.append((q, f"{must} {should}".strip(), elig))
+    assert [j[0] for j in jobs] == ["b0", "b1", "b3"]
+    assert got.equals(_per_query_masked(idx, jobs, len(texts), 10))
+
+
 def test_near_randomized_sweep(corpus):
     """Randomized hardening of the chain-DP: many (phrase, gap) combos
     over the module corpus, each checked doc-for-doc against the

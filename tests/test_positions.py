@@ -150,6 +150,43 @@ def test_positions_rebuild_after_lost_marker(ray_session, tmp_path):
             assert np.array_equal(a, b)
 
 
+def test_phrase_ignores_part_file_order(ray_session, tmp_path):
+    """A term split across sort partitions keeps one row per part file;
+    listing those files in reverse order must not change the decoded
+    postings or any phrase result."""
+    from collections import Counter
+
+    t = _corpus(900, seed=3)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(t, src)
+    idx = str(tmp_path / "index")
+    build_index(src, idx, IndexConfig(stopwords="en", stemmer="none"),
+                mode="documents", n_groups=1)
+    build_positions(idx, src)
+    gdir = os.path.join(positions_dir(idx), "group=0")
+    files = sorted(f for f in os.listdir(gdir) if f.endswith(".parquet"))
+    rows = Counter(
+        term for f in files
+        for term in pq.read_table(os.path.join(gdir, f), columns=["term"])
+        .column("term").to_pylist()
+    )
+    split = sorted(term for term, n in rows.items() if n > 1)
+    assert split, "expected a term split across part files"
+    queries = [("q0", "alpha beta"), ("q1", "table scan"),
+               ("q2", "gamma delta"), ("q3", "epsilon value"),
+               ("q4", "beta fast zeta")]
+    before = phrase_topk(idx, src, queries, k=10, positions="force").to_pandas()
+    for i, f in enumerate(files):
+        os.rename(os.path.join(gdir, f),
+                  os.path.join(gdir, f"part-{len(files) - 1 - i:03d}.parquet"))
+    for docs, *_ in positions_for_terms(gdir, split).values():
+        assert np.all(np.diff(docs) > 0)
+    after = phrase_topk(idx, src, queries, k=10, positions="force").to_pandas()
+    key = ["qid", "rank"]
+    assert after.sort_values(key).reset_index(drop=True).equals(
+        before.sort_values(key).reset_index(drop=True))
+
+
 def test_positions_analyzer_mismatch_raises(poscorpus):
     idx, d, _ = poscorpus
     with pytest.raises(ValueError, match="analyzer"):

@@ -136,6 +136,30 @@ def test_served_search_honors_tombstones(built):
         )
 
 
+def test_served_tombstones_ship_as_group_shards(built, monkeypatch):
+    """BM25Server composes its tombstones into per-group shards like
+    search(): served results equal search(), and no ray.put carries a
+    corpus-wide uint8 array."""
+    from bm25_benchmarks_ray.pipelines.docfilter import bitmap_nbytes
+    from bm25_benchmarks_ray.pipelines.serve import BM25Server
+    from bm25_benchmarks_ray.state.manifest import Manifest
+    from tests.test_filtered_search import spy_uint8_puts
+
+    idx, _ = built
+    assert len(Manifest.load(idx).done_groups()) == 2
+    delete_docs(idx, DELETED)
+    put_sizes = spy_uint8_puts(monkeypatch)
+    queries = synthesize_queries(6, seed=29)
+    with BM25Server(idx, join_back=False) as srv:
+        served = srv.search(queries, k=10)
+    batch = search(idx, queries, k=10, join_back=False).to_pandas()
+    key = ["qid", "rank"]
+    assert served.sort_values(key).reset_index(drop=True).equals(
+        batch.sort_values(key).reset_index(drop=True))
+    assert len(put_sizes) >= 4  # one shard per group, server and search
+    assert max(put_sizes) < bitmap_nbytes(N_TURNS), put_sizes
+
+
 def test_tombstones_survive_compaction(built):
     idx, oracle = built
     delete_docs(idx, DELETED)
