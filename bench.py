@@ -394,21 +394,18 @@ def run_ext_bench(docs_sf: float = 1.0, n_events: int = 10_000_000) -> dict:
     from bm25_benchmarks_ray.pipelines.docfilter import allowed_shards
     from bm25_benchmarks_ray.pipelines.fusion import rrf_fuse
     from bm25_benchmarks_ray.pipelines.phrase import bool_query_topk
+    from bm25_benchmarks_ray.pipelines.query import Index
     from bm25_benchmarks_ray.pipelines.query import search as _search
     from bm25_benchmarks_ray.pipelines.snippets import snippet_topk
-    from bm25_benchmarks_ray.state.manifest import Manifest as _Man
 
     rng = np.random.RandomState(7)
     qtexts = [
         (f"x{i:02d}", " ".join(rng.choice(vocab, size=3)))
         for i in range(16)
     ]
-    man = _Man.load(pidx)
-    ranges = [
-        (int(e["doc_lo"]), int(e["doc_hi"]))
-        for g in man.done_groups() for e in [man.groups[str(g)]]
-    ]
-    nd = int(man.stats["num_docs"])
+    pix = Index.open(pidx)
+    ranges = sorted(pix.ranges.values())
+    nd = pix.num_docs
     t0 = time.perf_counter()
     ids = rd.read_parquet(dpath, columns=["doc_id"]).map_batches(
         lambda b: b.filter(

@@ -398,28 +398,21 @@ def q_bm25_topk_filtered(sf_dir: str, method: str = "lucene", k: int = 10):
     import ray.data as rd
 
     from .pipelines.docfilter import allowed_shards
-    from .state.manifest import Manifest
+    from .pipelines.query import Index
 
-    idx = documents_index(sf_dir)
-    man = Manifest.load(idx)
-    num_docs = int(man.stats["num_docs"])
-    ranges = [
-        (int(e["doc_lo"]), int(e["doc_hi"]))
-        for g in man.done_groups() for e in [man.groups[str(g)]]
-    ]
+    index = Index.open(documents_index(sf_dir), cfg=SQL_CFG)
     ids = rd.read_parquet(
         _docs_path(sf_dir), columns=["doc_id", "lang"]
     ).map_batches(
         lambda b: b.filter(pc.equal(b.column("lang"), "en")).select(["doc_id"]),
         batch_format="pyarrow",
     )
-    bm = allowed_shards(ids, num_docs, ranges)
+    bm = allowed_shards(ids, index.num_docs, sorted(index.ranges.values()))
     res = search(
-        idx,
+        index,
         DOC_QUERIES,
         params=BM25Params(method=method),
         k=k,
-        cfg=SQL_CFG,
         join_back=False,
         allowed=bm,
     ).to_pandas()

@@ -215,18 +215,26 @@ def _group_doc_bounds(g_files: list[str]) -> tuple[int, int] | None:
 def _transcripts_doc_range(
     g_files: list[str], g_rows: int, offsets: pd.DataFrame | None
 ) -> tuple[int, int] | None:
-    # transcripts: doc_id = base[conv] + turn rank
-    from ..stages.docids import offsets_are_dense
+    # transcripts: doc_id = base[conv] + the turn's rank in its
+    # conversation (turn_idx itself on dense corpora)
+    from ..stages.docids import offsets_are_dense, sparse_doc_ids, turn_keys
 
-    if offsets is None or not offsets_are_dense(offsets):
+    if offsets is None:
         return None
     if g_rows <= DRIVER_SIDE_ROWS:
         t = pads.dataset(g_files).to_table(columns=["conv_id", "turn_idx"])
-        conv = t.column("conv_id").to_pandas()
-        base = conv.map(
-            dict(zip(offsets["conv_id"], offsets["base"].astype(np.int64)))
-        ).to_numpy(dtype=np.int64)
-        doc = base + t.column("turn_idx").to_numpy().astype(np.int64)
+        if offsets_are_dense(offsets):
+            conv = t.column("conv_id").to_pandas()
+            base = conv.map(
+                dict(zip(offsets["conv_id"], offsets["base"].astype(np.int64)))
+            ).to_numpy(dtype=np.int64)
+            doc = base + t.column("turn_idx").to_numpy().astype(np.int64)
+        else:
+            doc = sparse_doc_ids(
+                turn_keys(offsets),
+                t.column("conv_id").to_numpy(zero_copy_only=False),
+                t.column("turn_idx").to_numpy(),
+            )
         lo, hi = int(doc.min()), int(doc.max()) + 1
     else:
         from ray.data.aggregate import Max, Min

@@ -29,8 +29,9 @@ design:
     corpus parquet re-tokenizes ONLY candidate rows (bitmap mask per
     batch; read span pruned to the candidates' doc-id range) and
     counts exact phrase occurrences in each doc's kept token stream,
-    vectorized over the batch's dictionary-encoded stream
-    (functions/tokenizer.dict_token_stream) — no per-doc Python loop.
+    vectorized over the batch's dictionary-encoded stream — the build's
+    own ``stages.tokenize_stage._token_quad`` under the index's
+    config — no per-doc Python loop.
   Scoring: the phrase is a *virtual term*: tf = occurrence count,
     df = number of docs with ≥1 occurrence, dl = the doc's kept-stream
     length; score = idf(df) · tf_shape(tf, dl) with the standard
@@ -45,8 +46,12 @@ driver_api.phrase_topk_sql):
   positions renumbered — so phrases cross removed stopwords
   ("big query" matches "big the query"); single-char tokens never
   existed (the reference's ``\\w\\w+`` splitter);
-* the phrase text is tokenized by the SAME pipeline (its own stopwords
-  vanish: "the fast value" searches the bigram "fast value");
+* the phrase text is tokenized by the SAME pipeline — the index's
+  analyzer (``Index.analyze``), so case folding, splitter, stopwords
+  and stemming follow the index config (its own stopwords vanish: "the
+  fast value" searches the bigram "fast value");
+* deleted docs (tombstones) never rank, but the phrase df counts them
+  like every other collection statistic;
 * overlapping occurrences all count ("aa aa aa" contains "aa aa"
   twice); repeated phrase terms are allowed;
 * a phrase containing an out-of-vocabulary term matches nothing
@@ -86,16 +91,9 @@ import ray.data as rd
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, tf_shape
-from ..functions.tokenizer import (
-    dict_token_stream,
-    resolve_stemmer,
-    resolve_stopwords,
-    tokenize_text,
-)
-from ..state.manifest import Manifest
+from ..stages.tokenize_stage import TokenizePostings, _token_quad
 from .docfilter import bitmap_nbytes, invert_bitmap
-from .index_build import SEGMENTS_DIR, VOCAB_DIR
-from .query import search
+from .query import Index, search
 from .topk import grouped_topk
 
 __all__ = [
@@ -117,19 +115,9 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[ok]
 
 
-def _cfg_from_manifest(man: Manifest, cfg: IndexConfig | None) -> IndexConfig:
-    if cfg is not None:
-        return cfg
-    return IndexConfig(**{
-        k: v for k, v in man.config.items()
-        if k in IndexConfig.__dataclass_fields__
-    })
-
-
 def _postings_bitmaps(
-    index_dir: str,
+    index: Index,
     specs: list[tuple[str, list[str] | set[str], str]],
-    man: Manifest | None = None,
 ) -> dict[str, np.ndarray]:
     """Packed uint8 bitmaps (docfilter layout) over the index's posting
     lists, for MANY specs in ONE distributed scan.  Each spec is
@@ -145,11 +133,8 @@ def _postings_bitmaps(
 
     op="and": any term absent from the vocab ⇒ all-zeros (strict
     conjunction).  op="or": absent terms simply contribute nothing."""
-    man = man or Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    num_docs = int(man.stats["num_docs"])
-    block_size = int(man.config.get("block_size", 128))
+    num_docs = index.num_docs
+    block_size = index.cfg.block_size
     out: dict[str, np.ndarray] = {
         key: np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8)
         for key, _, _ in specs
@@ -157,10 +142,7 @@ def _postings_bitmaps(
     union_terms = sorted({t for _, terms, _ in specs for t in terms})
     if not union_terms:
         raise ValueError("postings bitmap needs at least one term")
-    v = pads.dataset(os.path.join(index_dir, VOCAB_DIR)).to_table(
-        columns=["term", "df"], filter=pc.field("term").isin(union_terms)
-    )
-    df_map = dict(zip(v.column("term").to_pylist(), v.column("df").to_pylist()))
+    df_map = index.df_of(union_terms)
     # per-spec evaluation order (AND: rarest df first for early empty)
     plans: list[tuple[str, list[str], bool]] = []
     scan_terms: set[str] = set()
@@ -242,10 +224,7 @@ def _postings_bitmaps(
              "buf": pa.array(buf_out, type=pa.binary())}
         )
 
-    items = [
-        {"group_dir": os.path.join(index_dir, SEGMENTS_DIR, f"group={g}")}
-        for g in man.done_groups()
-    ]
+    items = [{"group_dir": index.group_dir(g)} for g in index.gids]
     chunks = rd.from_items(items).map_batches(
         scan, batch_format="pyarrow", batch_size=1
     )
@@ -259,24 +238,10 @@ def _postings_bitmaps(
     return out
 
 
-def _postings_bitmap(
-    index_dir: str,
-    terms: list[str] | set[str],
-    man: Manifest | None = None,
-    op: str = "and",
-) -> np.ndarray:
-    """Single-spec convenience wrapper over :func:`_postings_bitmaps`."""
-    return _postings_bitmaps(index_dir, [("q", terms, op)], man=man)["q"]
-
-
-def candidate_bitmap(
-    index_dir: str,
-    terms: list[str] | set[str],
-    man: Manifest | None = None,
-) -> np.ndarray:
+def candidate_bitmap(index_dir: str, terms: list[str] | set[str]) -> np.ndarray:
     """Packed bitmap of docs containing ALL ``terms`` — distributed
-    posting-list intersection (see _postings_bitmap)."""
-    return _postings_bitmap(index_dir, terms, man=man, op="and")
+    posting-list intersection (see _postings_bitmaps)."""
+    return _postings_bitmaps(Index.open(index_dir), [("q", terms, "and")])["q"]
 
 
 def _bit_test(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -286,17 +251,17 @@ def _bit_test(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def _make_phrase_counter(
     bitmap_ref,
     phrases: list[tuple[str, list[str]]],
-    stopwords: frozenset[str],
-    stemmer,
+    tokenizer: TokenizePostings,
     id_col: str,
     text_col: str,
     gap: int = 1,
 ):
     """Batch fn: (qid, doc_id, ptf, dl) for every candidate doc with
-    ≥1 occurrence of a phrase.  All phrases share one tokenize pass;
-    matching runs on the batch's dictionary-encoded kept stream —
-    equality tests against phrase-term class ids, one vectorized AND
-    chain per phrase.
+    ≥1 occurrence of a phrase.  All phrases share one tokenize pass —
+    the index build's own kept stream (``_token_quad`` over the index's
+    ``TokenizePostings``); matching runs on that dictionary-encoded
+    stream — equality tests against phrase-term class ids, one
+    vectorized AND chain per phrase.
 
     ``gap`` — ordered-proximity slack: each next term must appear
     within ``gap`` kept-stream positions after the previous one
@@ -330,19 +295,12 @@ def _make_phrase_counter(
         if sel.size == 0:
             return empty
         sel_ids = ids[sel]
-        codes, uniq, doc_of, _ = dict_token_stream(
-            batch.column(text_col).take(pa.array(sel))
-        )
         # kept stream: stopwords out, positions renumbered (module doc)
-        if stopwords:
-            stop = np.fromiter((u in stopwords for u in uniq), dtype=bool,
-                               count=len(uniq))
-            keep = ~stop[codes]
-            codes, doc_of = codes[keep], doc_of[keep]
-        dl = np.bincount(doc_of, minlength=sel.size)
-        # class id per occurrence: phrase-term id or -1 (stem-unique-once)
-        names = [stemmer(u) for u in uniq] if stemmer else uniq
-        cls = np.fromiter((pterm_cls.get(n, -1) for n in names),
+        codes, uniq, doc_of, dl = _token_quad(
+            batch.column(text_col).take(pa.array(sel)), tokenizer
+        )
+        # class id per occurrence: phrase-term id or -1
+        cls = np.fromiter((pterm_cls.get(u, -1) for u in uniq),
                           dtype=np.int64, count=len(uniq))
         cls_codes = cls[codes] if codes.size else codes
         out_q: list[np.ndarray] = []
@@ -412,10 +370,9 @@ _EMPTY_COUNTS = pa.table(
 
 
 def _positions_counts(
-    index_dir: str,
+    index: Index,
     phrases: list[tuple[str, list[str]]],
     gap: int,
-    man: Manifest,
 ) -> rd.Dataset:
     """Phase 1+2 fused on the positions sidecar (pipelines/positions.py
     — the Lucene .pos path, reference analogue on_pyserini.py
@@ -432,13 +389,11 @@ def _positions_counts(
     from .positions import POSITIONS_DIR, positions_for_terms
 
     union_terms = sorted({t for _, toks in phrases for t in toks})
-    items = []
-    for g in man.done_groups():
-        e = man.groups[str(g)]
-        items.append({
-            "group_dir": os.path.join(index_dir, POSITIONS_DIR, f"group={g}"),
-            "doc_lo": int(e["doc_lo"]),
-        })
+    items = [
+        {"group_dir": os.path.join(index.index_dir, POSITIONS_DIR, f"group={g}"),
+         "doc_lo": index.group_range(g)[0]}
+        for g in index.gids
+    ]
 
     def scan(batch: pa.Table) -> pa.Table:
         out_q: list[np.ndarray] = []
@@ -552,7 +507,9 @@ def phrase_topk(
     two-phase re-tokenize otherwise; "force" requires the sidecar;
     "off" always re-tokenizes.  Both paths produce identical counts
     (the sidecar stores the same kept-stream positions the fallback
-    recomputes).  Duplicate qids raise ``ValueError``."""
+    recomputes).  Deleted docs (tombstones.py) never rank; like every
+    other collection statistic, the phrase df still counts them.
+    Duplicate qids raise ``ValueError``."""
     if positions not in ("auto", "force", "off"):
         raise ValueError("positions must be 'auto', 'force' or 'off'")
     if gap < 1:
@@ -563,14 +520,8 @@ def phrase_topk(
     if dup:
         raise ValueError(f"duplicate phrase qids: {dup}")
     params = params or BM25Params()
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = _cfg_from_manifest(man, cfg)
-    num_docs = int(man.stats["num_docs"])
-    avgdl = float(man.stats["avgdl"])
-    stopwords = resolve_stopwords(cfg.stopwords)
-    stemmer = resolve_stemmer(cfg.stemmer)
+    index = Index.open(index_dir, cfg)
+    num_docs = index.num_docs
 
     empty = pa.table(
         {"qid": pa.array([], type=pa.string()),
@@ -579,20 +530,16 @@ def phrase_topk(
          "score": pa.array([], type=pa.float64())}
     )
 
-    tokenized: list[tuple[str, list[str]]] = []
-    for qid, text in queries:
-        toks = tokenize_text(text, stopwords=stopwords, stemmer=stemmer)
-        if toks:
-            tokenized.append((qid, toks))
+    tokenized = [
+        (qid, toks) for qid, text in queries if (toks := index.analyze(text))
+    ]
     if not tokenized:
         return empty
 
     from .positions import has_positions
 
-    use_pos = positions == "force" or (
-        positions == "auto" and has_positions(index_dir, man)
-    )
-    if positions == "force" and not has_positions(index_dir, man):
+    use_pos = positions != "off" and has_positions(index_dir, index.man)
+    if positions == "force" and not use_pos:
         raise ValueError(
             f"positions='force' but no complete positions sidecar at "
             f"{index_dir} (build_positions)"
@@ -601,9 +548,7 @@ def phrase_topk(
     if use_pos:
         # positions path: phase 1+2 fused on the sidecar, no corpus
         # text read (_positions_counts)
-        counts = _positions_counts(
-            index_dir, tokenized, gap, man
-        ).materialize()
+        counts = _positions_counts(index, tokenized, gap).materialize()
         if counts.count() == 0:
             return empty
     else:
@@ -612,7 +557,7 @@ def phrase_topk(
         # phase 1, ALL queries in ONE distributed scan (each group's
         # vocab + segments read once; shared per-term decode across
         # queries)
-        bms = _postings_bitmaps(index_dir, specs, man=man)
+        bms = _postings_bitmaps(index, specs)
         phrases: list[tuple[str, list[str]]] = []
         union = np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8)
         for qid, toks in toks_of.items():
@@ -640,8 +585,7 @@ def phrase_topk(
             & (pc.field(id_col) < span_hi),
         )
         counter = _make_phrase_counter(
-            ray.put(union), phrases, stopwords, stemmer, id_col, text_col,
-            gap,
+            ray.put(union), phrases, index.tokenizer, id_col, text_col, gap
         )
 
         def spanned(batch: pa.Table) -> pa.Table:
@@ -670,13 +614,16 @@ def phrase_topk(
         for qq, cc in zip(b.column("qid").to_pylist(),
                           b.column("n").to_pylist()):
             dfs[qq] = dfs.get(qq, 0) + int(cc)
-    avg_idf = man.stats.get("avg_robertson_idf")
     idf_map = {
-        q: float(idf_fn(params, d, num_docs, avg_idf=avg_idf))
+        q: float(idf_fn(params, d, num_docs, avg_idf=index.avg_idf))
         for q, d in dfs.items()
     }
+    avgdl, deleted = index.avgdl, index.deleted
 
     def score(batch: pa.Table) -> pa.Table:
+        if deleted is not None:
+            batch = batch.filter(pa.array(
+                ~np.isin(batch.column("doc_id").to_numpy(), deleted)))
         w = batch.column("qid").to_pandas().map(idf_map).to_numpy()
         s = w * tf_shape(
             params,
@@ -713,11 +660,10 @@ _BOOL_SCHEMA = pa.schema([("qid", pa.string()), ("doc_id", pa.int64()),
 
 
 def _masked_topk(
-    index_dir: str,
+    index: Index,
     jobs: list[tuple[str, str, np.ndarray]],
     k: int,
     params: BM25Params,
-    cfg: IndexConfig,
 ) -> pa.Table:
     """The boolean entry points' shared tail: ONE ``search()`` over
     every (qid, score text, eligibility bitmap) job, each query masked
@@ -726,8 +672,8 @@ def _masked_topk(
     if not jobs:
         return _BOOL_SCHEMA.empty_table()
     res = search(
-        index_dir, [(q, t) for q, t, _ in jobs], params=params, k=k,
-        cfg=cfg, join_back=False, allowed=[bm for _, _, bm in jobs],
+        index, [(q, t) for q, t, _ in jobs], params=params, k=k,
+        join_back=False, allowed=[bm for _, _, bm in jobs],
     )
     tbl = pa.concat_tables(ray.get(res.to_arrow_refs()))
     tbl = pa.table({
@@ -760,28 +706,20 @@ def bool_and_topk(
     (docfilter mask inside the scorers; full-corpus idf/avgdl,
     identical score values to the unfiltered ranking)."""
     params = params or BM25Params()
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = _cfg_from_manifest(man, cfg)
-    stopwords = resolve_stopwords(cfg.stopwords)
-    stemmer = resolve_stemmer(cfg.stemmer)
-
-    q_terms: dict[str, set[str]] = {}
-    for qid, text in queries:
-        terms = set(tokenize_text(text, stopwords=stopwords, stemmer=stemmer))
-        if terms:
-            q_terms[qid] = terms
+    index = Index.open(index_dir, cfg)
+    q_terms = {
+        qid: set(terms) for qid, text in queries if (terms := index.analyze(text))
+    }
     # all intersections in one distributed scan (ADVICE: Q queries no
     # longer pay Q scheduling round-trips / segment re-reads)
     bms = _postings_bitmaps(
-        index_dir, [(q, t, "and") for q, t in q_terms.items()], man=man
+        index, [(q, t, "and") for q, t in q_terms.items()]
     ) if q_terms else {}
     jobs = [
         (qid, text, bm) for qid, text in queries
         if (bm := bms.get(qid)) is not None and bm.any()
     ]
-    return _masked_topk(index_dir, jobs, k, params, cfg)
+    return _masked_topk(index, jobs, k, params)
 
 
 def bool_query_topk(
@@ -809,16 +747,8 @@ def bool_query_topk(
     the exclusion never touches the scorers, it is pure mask
     composition."""
     params = params or BM25Params()
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = _cfg_from_manifest(man, cfg)
-    num_docs = int(man.stats["num_docs"])
-    stopwords = resolve_stopwords(cfg.stopwords)
-    stemmer = resolve_stemmer(cfg.stemmer)
-
-    def toks(text: str) -> list[str]:
-        return tokenize_text(text, stopwords=stopwords, stemmer=stemmer)
+    index = Index.open(index_dir, cfg)
+    num_docs, toks = index.num_docs, index.analyze
 
     # one batched scan for every query's must-AND and must_not-OR
     # bitmaps (shared per-term decodes across the whole spec set)
@@ -832,7 +762,7 @@ def bool_query_topk(
             scan_specs.append((f"m:{qid}", m_of[qid], "and"))
         if n_of[qid]:
             scan_specs.append((f"n:{qid}", n_of[qid], "or"))
-    bms = _postings_bitmaps(index_dir, scan_specs, man=man) if scan_specs else {}
+    bms = _postings_bitmaps(index, scan_specs) if scan_specs else {}
 
     # one shared all-docs object: queries with no must clause publish
     # one composed mask between them
@@ -849,4 +779,4 @@ def bool_query_topk(
         # stopword/OOV)
         if bm.any() and toks(score_text):
             jobs.append((qid, score_text, bm))
-    return _masked_topk(index_dir, jobs, k, params, cfg)
+    return _masked_topk(index, jobs, k, params)

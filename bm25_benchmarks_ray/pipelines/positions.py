@@ -53,6 +53,7 @@ from ..functions.codec import (
     varint_nbytes,
 )
 from ..state.manifest import Manifest
+from .query import Index
 
 POSITIONS_DIR = "positions"
 POS_DONE = "_POS_DONE"
@@ -257,14 +258,8 @@ def build_positions(
     with explicit doc ids (documents mode).  Analyzer config comes
     from the index manifest so positions and postings always agree.
     Idempotent and resumable per group."""
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    if cfg is None:
-        cfg = IndexConfig(**{
-            k: v for k, v in man.config.items()
-            if k in IndexConfig.__dataclass_fields__
-        })
+    index = Index.open(index_dir, cfg)
+    cfg = index.cfg
     root = positions_dir(index_dir)
     os.makedirs(root, exist_ok=True)
     meta_p = os.path.join(root, "meta.json")
@@ -282,20 +277,18 @@ def build_positions(
             json.dump({"analyzer": fp}, f)
         os.replace(tmp, meta_p)
 
-    for g in man.done_groups():
+    for g in index.gids:
         gdir = os.path.join(root, f"group={g}")
         if os.path.exists(os.path.join(gdir, POS_DONE)):
             continue
-        e = man.groups[str(g)]
-        lo, hi = e.get("doc_lo"), e.get("doc_hi")
-        if lo is None or hi is None:
+        if not index.ranges:
             raise ValueError(
                 "positions build requires contiguous group doc ranges"
             )
+        lo, hi = index.ranges[g]
         ds = rd.read_parquet(
             docs_path, columns=[id_col, text_col],
-            filter=(pc.field(id_col) >= int(lo))
-            & (pc.field(id_col) < int(hi)),
+            filter=(pc.field(id_col) >= lo) & (pc.field(id_col) < hi),
         )
         if id_col != "doc_id" or text_col != "text":
             ds = ds.rename_columns(

@@ -27,7 +27,7 @@ single-process ``model.retrieve`` cannot express,
    batch's partials at any query count; the per-batch results
    concatenate in query order.
 
-``serve.BM25Server`` shares this driver side — ``load_index_view``,
+``serve.BM25Server`` shares this driver side — the ``Index`` handle,
 ``_query_plan``, ``_merge_partials_local`` and ``finish_results`` — and
 scores the same ``score_range`` core in resident actors.
 
@@ -44,14 +44,16 @@ ranks all partials uniformly by (score desc, doc_id asc).  For queries
 whose in-group weights are all positive this padding is skipped
 whenever k matched docs exist (they strictly beat qconst).  Indexes
 whose groups lack contiguous doc ranges fall back to merge-side
-append-padding (exact only for non-negative-idf scoring).
+append-padding from [0, num_docs) (exact only for non-negative-idf
+scoring) when those are provably their ids; otherwise they return
+matched docs only.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -63,7 +65,7 @@ import ray.data as rd
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, nonoccurrence_shape, tf_shape
-from ..functions.tokenizer import resolve_stemmer, resolve_stopwords, tokenize_text
+from ..stages.tokenize_stage import TokenizePostings
 from ..state.manifest import Manifest
 from .docfilter import BitmapShards
 from .index_build import SEGMENTS_DIR, VOCAB_DIR, docmap_from_offsets, load_offsets
@@ -97,56 +99,25 @@ def sample_queries(
 def tokenize_queries(
     queries: list[tuple[str, str]], cfg: IndexConfig
 ) -> list[tuple[str, Counter]]:
-    from ..functions.tokenizer import resolve_splitter
-
-    sw = resolve_stopwords(cfg.stopwords)
-    st = resolve_stemmer(cfg.stemmer)
-    sp = resolve_splitter(getattr(cfg, "splitter", "regex"))
-    return [
-        (
-            qid,
-            Counter(
-                tokenize_text(
-                    text, stopwords=sw, stemmer=st, lower=cfg.lower, splitter=sp
-                )
-            ),
-        )
-        for qid, text in queries
-    ]
+    """Each query's kept-term counts, read by the build's tokenizer."""
+    terms = TokenizePostings(cfg).terms
+    return [(qid, Counter(terms(text))) for qid, text in queries]
 
 
 def _query_plan(
-    tokenized: list[tuple[str, Counter]],
-    index_dir: str,
-    params: BM25Params,
-    num_docs: int,
-    avg_idf: float | None = None,
-    df_cache: dict[str, int | None] | None = None,
+    tokenized: list[tuple[str, Counter]], index: Index, params: BM25Params
 ) -> dict:
     """Driver-side query structure: per-term (query, weight·idf) fanout +
-    per-query constants.  df lookups are a term-pruned vocab read.
-    ``avg_idf``: vocab-wide mean robertson idf (manifest stats), needed
-    only by okapi's epsilon floor.  ``df_cache``: caller-owned term→df
-    memo (None = known-absent) so a persistent server reads the vocab
-    only for never-seen terms."""
+    per-query constants.  df lookups go through the handle's term→df
+    cache.  Okapi's epsilon floor needs the vocab-wide mean robertson
+    idf (manifest stats; one full vocab read for indexes without it)."""
     terms = sorted({t for _, c in tokenized for t in c})
-    df_map: dict[str, int] = {}
-    lookup = [t for t in terms if df_cache is None or t not in df_cache]
-    if df_cache is not None:
-        df_map = {t: df_cache[t] for t in terms if df_cache.get(t) is not None}
-    if lookup:
-        v = pads.dataset(os.path.join(index_dir, VOCAB_DIR)).to_table(
-            columns=["term", "df"], filter=pc.field("term").isin(lookup)
-        )
-        fresh = dict(zip(v.column("term").to_pylist(), v.column("df").to_pylist()))
-        df_map.update(fresh)
-        if df_cache is not None:
-            for t in lookup:
-                df_cache[t] = fresh.get(t)
+    df_map = index.df_of(terms)
+    num_docs, avg_idf = index.num_docs, index.avg_idf
     if params.method == "okapi" and params.epsilon != 0.0 and avg_idf is None:
         from ..functions.bm25 import avg_robertson_idf
 
-        dfs = pads.dataset(os.path.join(index_dir, VOCAB_DIR)).to_table(
+        dfs = pads.dataset(os.path.join(index.index_dir, VOCAB_DIR)).to_table(
             columns=["df"]
         ).column("df").to_numpy()
         avg_idf = avg_robertson_idf(dfs, num_docs)
@@ -952,27 +923,102 @@ def _empty_query_results(plan: dict, k: int, num_docs: int, legacy_pad: bool) ->
     )
 
 
-@dataclass
-class IndexView:
-    """The manifest as both query entry points (search() and
-    serve.BM25Server) read it: config, collection stats, the groups in
-    scope, their contiguous doc ranges, and the padding those ranges
-    allow (module docstring)."""
+def _group_ranges(man: Manifest, gids: list[int]) -> dict[int, tuple[int, int]]:
+    """group -> recorded contiguous [doc_lo, doc_hi); empty when any
+    group lacks a range or two ranges overlap."""
+    ranges: dict[int, tuple[int, int]] = {}
+    for g in gids:
+        e = man.groups[str(g)]
+        if e.get("doc_lo") is None or e.get("doc_hi") is None:
+            return {}
+        ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
+    spans = sorted(ranges.values())
+    if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
+        return {}
+    return ranges
 
-    index_dir: str
-    man: Manifest
-    cfg: IndexConfig
-    num_docs: int
-    avgdl: float
-    gids: list[int]
-    # group -> [doc_lo, doc_hi); empty when any group lacks a recorded
-    # range or two groups overlap
-    ranges: dict[int, tuple[int, int]]
-    # slices pad with their own unmatched docs (exact for any scoring)
-    dense_pad: bool
-    # the merge appends padding instead (range-less indexes; exact only
-    # for non-negative-idf scoring)
-    legacy_pad: bool
+
+def _ids_fill_doc_space(man: Manifest) -> bool:
+    """True when the index's doc ids are provably exactly [0, num_docs):
+    a transcripts index (ids are ranks under ORDER BY conv_id,
+    turn_idx), or every group's recorded id bound inside [0, num_docs)
+    (num_docs distinct ids there are all of them)."""
+    if man.stage_done("offsets"):
+        return True
+    n = int(man.stats["num_docs"])
+    for g in man.done_groups():
+        e = man.groups[str(g)]
+        exact = e.get("doc_lo") is not None
+        lo = e.get("doc_lo") if exact else e.get("doc_bound_lo")
+        hi = e.get("doc_hi") if exact else e.get("doc_bound_hi")
+        if lo is None or hi is None or lo < 0 or hi > n:
+            return False
+    return True
+
+
+class Index:
+    """One open index: the only manifest read of a call, and all the
+    query side derives from it — config, collection stats, the groups
+    in scope, their contiguous doc ranges, the padding those allow
+    (module docstring) and the analyzer, plus (read on first use) the
+    tombstones, the norms freshness, the join-back offsets and a
+    term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
+    and snippet entry points and ``build_positions`` all read the index
+    through one handle; only a server keeps it past one call."""
+
+    def __init__(
+        self,
+        index_dir: str,
+        man: Manifest,
+        cfg: IndexConfig | None = None,
+        groups: list[int] | None = None,
+    ):
+        self.index_dir, self.man = index_dir, man
+        self.cfg = cfg or IndexConfig(**{
+            k_: v for k_, v in man.config.items()
+            if k_ in IndexConfig.__dataclass_fields__
+        })
+        self.num_docs = int(man.stats["num_docs"])
+        self.avgdl = float(man.stats["avgdl"])
+        self.avg_idf = man.stats.get("avg_robertson_idf")
+        self.gids = man.done_groups()
+        if groups is not None:
+            missing = set(groups) - set(self.gids)
+            if missing:
+                raise ValueError(f"groups not in index: {sorted(missing)}")
+            self.gids = sorted(groups)
+        # Per-group contiguous doc ranges (recorded at build time) make
+        # the scatter exact for padding AND confine each group's slices
+        # to its own doc range (no empty cross-range tasks).
+        self.ranges = _group_ranges(man, self.gids)
+        # a group subset is a partial doc space: absent docs are out of
+        # scope, never padded
+        whole = groups is None
+        # slices pad with their own unmatched docs (exact for any scoring)
+        self.dense_pad = whole and bool(self.ranges)
+        # the merge appends padding from [0, num_docs) instead — only
+        # where those are provably the index's ids (exact only for
+        # non-negative-idf scoring)
+        self.legacy_pad = whole and not self.ranges and _ids_fill_doc_space(man)
+        # the build's tokenizer: every entry point reads text through it
+        self.tokenizer = TokenizePostings(self.cfg)
+        self._df: dict[str, int | None] = {}
+
+    @classmethod
+    def open(
+        cls,
+        index_dir: str,
+        cfg: IndexConfig | None = None,
+        groups: list[int] | None = None,
+    ) -> "Index":
+        man = Manifest.load(index_dir)
+        if man is None or not man.is_complete():
+            raise ValueError(f"no complete index at {index_dir}")
+        return cls(index_dir, man, cfg, groups)
+
+    def analyze(self, text: str) -> list[str]:
+        """A text's ordered kept terms, as the index build reads it."""
+        return self.tokenizer.terms(text)
 
     def group_dir(self, g: int) -> str:
         return os.path.join(self.index_dir, SEGMENTS_DIR, f"group={g}")
@@ -980,47 +1026,48 @@ class IndexView:
     def group_range(self, g: int) -> tuple[int, int]:
         return self.ranges.get(g, (0, self.num_docs))
 
+    def df_of(self, terms: list[str]) -> dict[str, int]:
+        """In-vocab terms → df; one term-pruned vocab read for the terms
+        this handle has not looked up yet (None = known absent)."""
+        lookup = [t for t in terms if t not in self._df]
+        if lookup:
+            v = pads.dataset(os.path.join(self.index_dir, VOCAB_DIR)).to_table(
+                columns=["term", "df"], filter=pc.field("term").isin(lookup)
+            )
+            fresh = dict(zip(v.column("term").to_pylist(), v.column("df").to_pylist()))
+            for t in lookup:
+                self._df[t] = fresh.get(t)
+        return {t: self._df[t] for t in terms if self._df[t] is not None}
 
-def load_index_view(
-    index_dir: str,
-    cfg: IndexConfig | None = None,
-    dense_ids: bool = True,
-    groups: list[int] | None = None,
-) -> IndexView:
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = cfg or IndexConfig(**{
-        k_: v for k_, v in man.config.items()
-        if k_ in IndexConfig.__dataclass_fields__
-    })
-    gids = man.done_groups()
-    if groups is not None:
-        missing = set(groups) - set(gids)
-        if missing:
-            raise ValueError(f"groups not in index: {sorted(missing)}")
-        gids = sorted(groups)
-        dense_ids = False  # partial doc space: no zero-score padding
+    @cached_property
+    def deleted(self) -> np.ndarray | None:
+        """Sorted tombstoned doc ids; None when nothing is deleted."""
+        from .tombstones import load_tombstones
 
-    # Per-group contiguous doc ranges (recorded at build time) make the
-    # scatter exact for dense-id padding AND confine each group's slices
-    # to its own doc range (no empty cross-range tasks).
-    ranges: dict[int, tuple[int, int]] = {}
-    for g in gids:
-        e = man.groups[str(g)]
-        if e.get("doc_lo") is None or e.get("doc_hi") is None:
-            ranges = {}
-            break
-        ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
-    if ranges:
-        spans = sorted(ranges.values())
-        if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
-            ranges = {}  # overlapping groups: ranges unusable
-    dense_pad = dense_ids and bool(ranges)
-    return IndexView(
-        index_dir, man, cfg, man.stats["num_docs"], man.stats["avgdl"],
-        gids, ranges, dense_pad, dense_ids and not dense_pad,
-    )
+        ids = load_tombstones(self.index_dir)
+        return None if ids is None or ids.size == 0 else ids
+
+    @cached_property
+    def live_shards(self) -> BitmapShards:
+        """Per-group shards of the live docs (tombstones cleared)."""
+        from .docfilter import compose_shards
+
+        return compose_shards(
+            sorted(self.ranges.values()), self.num_docs, deleted_ids=self.deleted
+        )
+
+    @cached_property
+    def norms_index(self) -> str | None:
+        """The index dir when every group has a fresh norms file
+        (scoring then reads postings without the dl stream), else None."""
+        from ..state.norms import has_norms
+
+        return self.index_dir if has_norms(self.index_dir, self.man) else None
+
+    @cached_property
+    def offsets(self) -> pd.DataFrame | None:
+        """The doc_id → (conv_id, turn_idx) join-back table (transcripts)."""
+        return load_offsets(self.index_dir)
 
 
 def _join_back(tbl: pa.Table, offsets: pd.DataFrame) -> pa.Table:
@@ -1031,57 +1078,54 @@ def _join_back(tbl: pa.Table, offsets: pd.DataFrame) -> pa.Table:
 
 
 def finish_results(
-    merged: pa.Table, plan: dict, k: int, view: IndexView,
+    merged: pa.Table, plan: dict, k: int, index: Index,
     offsets: pd.DataFrame | None,
 ) -> pa.Table:
     """Merged top-k → final results: rows for queries no task scored,
     then the (conv_id, turn_idx) join-back when ``offsets`` is given."""
-    extra = _empty_query_results(plan, k, view.num_docs, view.legacy_pad)
+    extra = _empty_query_results(plan, k, index.num_docs, index.legacy_pad)
     if extra.num_rows:
         merged = pa.concat_tables([merged, extra])
     return merged if offsets is None else _join_back(merged, offsets)
 
 
-def compose_masks(view: IndexView, allowed: list) -> tuple[list, np.ndarray] | None:
+def compose_masks(index: Index, allowed: list) -> tuple[list, np.ndarray] | None:
     """The plan's mask fields, shared by ``search()`` and ``BM25Server``:
     each distinct per-query mask (packed bitmap, ``BitmapShards`` or
     None; distinct by identity) ANDed with the index's tombstones and
-    published once as per-group ``BitmapShards`` (``compose_shards``),
-    plus each query's index into that list.  None when no query is
-    masked and nothing is deleted."""
+    published once as per-group ``BitmapShards`` (``compose_shards``;
+    an unmasked query gets the handle's live shards), plus each query's
+    index into that list.  None when no query is masked and nothing is
+    deleted."""
     from .docfilter import compose_shards
-    from .tombstones import load_tombstones
 
-    deleted = load_tombstones(view.index_dir)
-    if deleted is not None and deleted.size == 0:
-        deleted = None
+    deleted = index.deleted
     if deleted is None and all(a is None for a in allowed):
         return None
-    if not view.ranges:
+    if not index.ranges:
         raise ValueError(
             "filtered search requires contiguous per-group doc ranges"
         )
-    ranges = sorted(view.ranges.values())
+    ranges = sorted(index.ranges.values())
     sets: list[BitmapShards] = []
     set_of: dict[int, int] = {}
     mask_of = np.empty(len(allowed), dtype=np.int32)
     for qi, a in enumerate(allowed):
         if id(a) not in set_of:
             set_of[id(a)] = len(sets)
-            sets.append(compose_shards(
-                ranges, view.num_docs, user=a, deleted_ids=deleted))
+            sets.append(index.live_shards if a is None else compose_shards(
+                ranges, index.num_docs, user=a, deleted_ids=deleted))
         mask_of[qi] = set_of[id(a)]
     return sets, mask_of
 
 
 def search(
-    index_dir: str,
+    index: str | Index,
     queries: list[tuple[str, str]],
     params: BM25Params | None = None,
     k: int = 10,
     cfg: IndexConfig | None = None,
     join_back: bool = True,
-    dense_ids: bool = True,
     mode: str = "pruned",   # "pruned" (block-max MaxScore, default) | "exhaustive"
     groups: list[int] | None = None,
     n_qbatch: int | None = None,
@@ -1089,6 +1133,9 @@ def search(
     allowed: np.ndarray | BitmapShards | list | None = None,
 ) -> rd.Dataset:
     """Retrieve top-k (qid, doc_id, rank, score) for every query.
+
+    ``index`` is an index directory (opened here, with ``cfg`` and
+    ``groups``) or an already open ``Index``.
 
     One ``score_slice`` Ray task per (group, doc slice, query batch)
     scores against the ``ray.put`` plan; the driver gathers and merges
@@ -1122,22 +1169,22 @@ def search(
         if n is not None and n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
     params = params or BM25Params()
-    view = load_index_view(index_dir, cfg, dense_ids, groups)
-    num_docs, gids, ranges = view.num_docs, view.gids, view.ranges
+    if not isinstance(index, Index):
+        index = Index.open(index, cfg, groups)
+    elif cfg is not None or groups is not None:
+        raise ValueError("pass cfg and groups to Index.open, not search()")
+    num_docs, gids, ranges = index.num_docs, index.gids, index.ranges
 
     per_query = allowed if isinstance(allowed, list) else [allowed] * len(queries)
     if len(per_query) != len(queries):
         raise ValueError(
             f"allowed holds {len(per_query)} masks for {len(queries)} queries"
         )
-    masks = compose_masks(view, per_query)
+    masks = compose_masks(index, per_query)
     if masks is not None:
         mode = "exhaustive"
 
-    plan = _query_plan(
-        tokenize_queries(queries, view.cfg), index_dir, params, num_docs,
-        avg_idf=view.man.stats.get("avg_robertson_idf"),
-    )
+    plan = _query_plan(tokenize_queries(queries, index.cfg), index, params)
     if masks is not None:
         plan["allowed_shards"], plan["mask_of"] = masks
     plan_ref = ray.put(plan)
@@ -1192,34 +1239,33 @@ def search(
     q_bounds = np.linspace(0, n_q, n_qbatch + 1).astype(np.int64)
     slices = []
     for g in gids:
-        bounds = np.linspace(*view.group_range(g), n_slices + 1).astype(np.int64)
+        bounds = np.linspace(*index.group_range(g), n_slices + 1).astype(np.int64)
         if not ranges:
             bounds[-1] = np.iinfo(np.int64).max  # unknown range: open tail
         slices += [
-            (view.group_dir(g), int(bounds[s]), int(bounds[s + 1]))
+            (index.group_dir(g), int(bounds[s]), int(bounds[s + 1]))
             for s in range(n_slices)
         ]
     # norms-file mode (state/norms.py): when every group has a fresh
     # norms sidecar, scoring tasks read segment rows WITHOUT the dls
     # stream and resolve dl via the group's mmap — ~28% fewer posting
     # bytes off storage and through decode.
-    from ..state.norms import has_norms
-
-    norms_index = index_dir if has_norms(index_dir, view.man) else None
+    norms_index = index.norms_index
     # one task list per q-batch, submitted in the order the merge
     # below consumes them
     refs = [
         [
             score_slice.remote(
                 plan_ref, (gdir, lo, hi, int(q_bounds[qb]), int(q_bounds[qb + 1])),
-                params, view.avgdl, k, view.cfg.block_size,
-                mode == "pruned", view.dense_pad, norms_index,
+                params, index.avgdl, k, index.cfg.block_size,
+                mode == "pruned", index.dense_pad, norms_index,
             )
             for gdir, lo, hi in slices
         ]
         for qb in range(n_qbatch)
     ]
-    offsets = load_offsets(index_dir) if join_back else None
+    # read while the tasks run
+    offsets = index.offsets if join_back else None
 
     # A query's partials come only from its own q-batch's tasks, so the
     # driver merges one q-batch at a time: merge memory is one q-batch's
@@ -1229,8 +1275,8 @@ def search(
     # tie-normalized top-k.
     merged = pa.concat_tables([
         _merge_partials_local(
-            _collect_arrow(qb_refs), plan, k, num_docs, view.legacy_pad
+            _collect_arrow(qb_refs), plan, k, num_docs, index.legacy_pad
         )
         for qb_refs in refs
     ])
-    return rd.from_arrow(finish_results(merged, plan, k, view, offsets))
+    return rd.from_arrow(finish_results(merged, plan, k, index, offsets))

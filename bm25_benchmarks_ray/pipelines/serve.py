@@ -11,10 +11,11 @@ loads once, queries many); the Ray-native analogue is a pool of
   decoded posting lists in memory (warmed lazily, term by term);
 - a query is one tiny plan broadcast to the actors (``actor.score``
   round-trip, milliseconds) + the driver-side merge;
-- everything else is ``search()``'s own code: the index view
-  (``load_index_view``), the plan, the scoring core (``score_range``)
-  and the finishing step (``_merge_partials_local`` +
-  ``finish_results``), so served results are rank-identical to the
+- everything else is ``search()``'s own code: the ``Index`` handle
+  (opened once, kept for the server's lifetime with its term→df cache,
+  tombstone shards and offsets), the plan, the scoring core
+  (``score_range``) and the finishing step (``_merge_partials_local``
+  + ``finish_results``), so served results are rank-identical to the
   batch path (asserted in tests/test_serve.py).
 
 This is the "shared mutable index held by raw Ray actors" case the
@@ -35,8 +36,8 @@ import ray
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, nonoccurrence_shape
-from .index_build import load_offsets
 from .query import (
+    Index,
     _DecodeCache,
     _EMPTY_PARTIALS,
     _concat_partials,
@@ -45,7 +46,6 @@ from .query import (
     _query_plan,
     compose_masks,
     finish_results,
-    load_index_view,
     query_plan_terms,
     score_range,
     tokenize_queries,
@@ -137,24 +137,17 @@ class BM25Server:
         cfg: IndexConfig | None = None,
         mode: str = "pruned",
         join_back: bool = True,
-        dense_ids: bool = True,
         num_cpus_per_actor: float = 1.0,
     ):
-        self.index_dir = index_dir
         self.params = params or BM25Params()
-        self.view = v = load_index_view(index_dir, cfg, dense_ids)
-        # index-level deletes (tombstones.py): composed once into
-        # per-group shards that ride in every plan, as in search()
-        masks = compose_masks(v, [None])
-        self.tomb_shards = None if masks is None else masks[0]
-        self._df_cache: dict[str, int] = {}
-        self.offsets = load_offsets(index_dir) if join_back else None
+        self.index = ix = Index.open(index_dir, cfg)
+        self.join_back = join_back
         self.actors = [
             GroupScorer.options(num_cpus=num_cpus_per_actor).remote(
-                v.group_dir(g), self.params, v.avgdl, v.cfg.block_size,
-                *v.group_range(g), mode == "pruned", v.dense_pad,
+                ix.group_dir(g), self.params, ix.avgdl, ix.cfg.block_size,
+                *ix.group_range(g), mode == "pruned", ix.dense_pad,
             )
-            for g in v.gids
+            for g in ix.gids
         ]
 
     def warm(self, queries: list[tuple[str, str]]) -> None:
@@ -171,7 +164,7 @@ class BM25Server:
 
         from .index_build import VOCAB_DIR
 
-        v = pads.dataset(os.path.join(self.index_dir, VOCAB_DIR)).to_table(
+        v = pads.dataset(os.path.join(self.index.index_dir, VOCAB_DIR)).to_table(
             columns=["term", "df"]
         )
         df = v.column("df").to_numpy()
@@ -183,25 +176,24 @@ class BM25Server:
         ray.get([a.warm.remote(terms) for a in self.actors])
 
     def _plan(self, queries: list[tuple[str, str]]) -> dict:
-        v = self.view
-        plan = _query_plan(
-            tokenize_queries(queries, v.cfg), self.index_dir, self.params,
-            v.num_docs, avg_idf=v.man.stats.get("avg_robertson_idf"),
-            df_cache=self._df_cache,
-        )
-        if self.tomb_shards is not None:
-            plan["allowed_shards"] = self.tomb_shards
-            plan["mask_of"] = np.zeros(len(queries), dtype=np.int32)
+        ix = self.index
+        plan = _query_plan(tokenize_queries(queries, ix.cfg), ix, self.params)
+        # index-level deletes (tombstones.py): the handle composes its
+        # live shards once and every plan carries them, as in search()
+        masks = compose_masks(ix, [None] * len(queries))
+        if masks is not None:
+            plan["allowed_shards"], plan["mask_of"] = masks
         return plan
 
     def search(self, queries: list[tuple[str, str]], k: int = 10) -> pd.DataFrame:
+        ix = self.index
         plan = self._plan(queries)
         parts = ray.get([a.score.remote(plan, k) for a in self.actors])
         merged = _merge_partials_local(
-            _concat_partials(parts), plan, k,
-            self.view.num_docs, self.view.legacy_pad,
+            _concat_partials(parts), plan, k, ix.num_docs, ix.legacy_pad
         )
-        return finish_results(merged, plan, k, self.view, self.offsets).to_pandas()
+        offsets = ix.offsets if self.join_back else None
+        return finish_results(merged, plan, k, ix, offsets).to_pandas()
 
     def close(self) -> None:
         for a in self.actors:

@@ -15,11 +15,14 @@ Contract (mirrored exactly by driver_api.snippet_topk_sql):
   the query's DISTINCT tokenized terms (occurrences count, not
   distinct terms — "beta beta" in-window scores 2);
 * ties break to the EARLIEST window start;
-* ``snippet`` is the window's kept SURFACE tokens (lowercased,
-  unstemmed — under a stemmed analyzer membership still tests the
-  stemmed forms, but the excerpt shows the words the document used)
-  joined by one space — a normalized excerpt reconstructable by the
-  SQL oracle;
+* the document stream splits and case-folds as the index was built
+  (the index config's ``lower`` and splitter), and query terms come
+  from the index's analyzer (``Index.analyze``);
+* ``snippet`` is the window's kept SURFACE tokens (case-folded as
+  indexed, unstemmed — under a stemmed analyzer membership still tests
+  the stemmed forms, but the excerpt shows the words the document
+  used) joined by one space — a normalized excerpt reconstructable by
+  the SQL oracle;
 * ``snippet_raw`` quotes the ORIGINAL text verbatim: the substring
   from the first window token's character offset to the last window
   token's end — original casing, punctuation and stopwords intact.
@@ -27,7 +30,8 @@ Contract (mirrored exactly by driver_api.snippet_topk_sql):
   hit doc's text at snippet time (hits are Q×k docs, so this is
   bounded work and needs no index-format change); when lowercasing
   changes the string's length (rare Unicode), the excerpt quotes the
-  lowercased text so offsets stay exact.
+  lowercased text so offsets stay exact.  A custom splitter has no
+  positional form, so there ``snippet_raw`` repeats ``snippet``.
 
 Shape: ranking comes first (``search`` — unchanged), so snippets are
 needed for exactly Q×k docs.  One streaming pass over the corpus
@@ -51,16 +55,8 @@ import ray.data as rd
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params
-from ..functions.tokenizer import (
-    TOKEN_RE,
-    dict_token_stream,
-    resolve_stemmer,
-    resolve_stopwords,
-    tokenize_text,
-)
-from ..state.manifest import Manifest
-from .phrase import _cfg_from_manifest
-from .query import search
+from ..functions.tokenizer import TOKEN_RE, dict_token_stream
+from .query import Index, search
 
 __all__ = ["snippet_topk"]
 
@@ -97,15 +93,14 @@ def snippet_topk(
     if window < 1:
         raise ValueError("window must be >= 1")
     params = params or BM25Params()
-    man = Manifest.load(index_dir)
-    if man is None or not man.is_complete():
-        raise ValueError(f"no complete index at {index_dir}")
-    cfg = _cfg_from_manifest(man, cfg)
-    stopwords = resolve_stopwords(cfg.stopwords)
-    stemmer = resolve_stemmer(cfg.stemmer)
+    index = Index.open(index_dir, cfg)
+    # the index's own analyzer: the document stream below splits and
+    # case-folds as the build did, then drops stopwords and stems
+    tok = index.tokenizer
+    stopwords, stemmer = tok.stopwords, tok.stemmer
 
     res = search(
-        index_dir, queries, params=params, k=k, cfg=cfg, join_back=False
+        index, queries, params=params, k=k, join_back=False
     ).to_pandas()
     res["score"] = res["score"].round(6)
     res = res.sort_values(["qid", "score", "doc_id"],
@@ -128,8 +123,7 @@ def snippet_topk(
     # hit structures: doc -> [(qid, terms-set-id)], one distinct-term
     # set per qid (weights are irrelevant to window counts)
     qterms: dict[str, set[str]] = {
-        qid: set(tokenize_text(text, stopwords=stopwords, stemmer=stemmer))
-        for qid, text in queries
+        qid: set(index.analyze(text)) for qid, text in queries
     }
     hit_doc = res["doc_id"].to_numpy(np.int64)
     hit_qid = res["qid"].to_numpy(object)
@@ -168,7 +162,8 @@ def snippet_topk(
         sel_ids = ids[sel]
         sel_texts = batch.column(text_col).take(pa.array(sel)).to_pylist()
         codes, uniq, doc_of, _ = dict_token_stream(
-            batch.column(text_col).take(pa.array(sel))
+            batch.column(text_col).take(pa.array(sel)),
+            tok.lower, tok.fast_splitter, tok.findall,
         )
         if stopwords:
             stop = np.fromiter((u in stopwords for u in uniq), dtype=bool,
@@ -185,18 +180,20 @@ def snippet_topk(
 
         # kept-token character spans in the ORIGINAL text, computed
         # lazily once per hit doc (Q x k docs corpus-wide): positional
-        # re-run of TOKEN_RE over the lowered text; offsets apply to
-        # the original verbatim whenever lowercasing is length-stable
+        # re-run of TOKEN_RE over the (lowered) text; offsets apply to
+        # the original verbatim whenever lowercasing is length-stable.
+        # A custom splitter has no positional form: no spans, and the
+        # excerpt falls back to the normalized snippet.
         span_cache: dict[int, tuple[list[int], list[int], str]] = {}
 
         def kept_spans(p: int) -> tuple[list[int], list[int], str]:
             v = span_cache.get(p)
             if v is None:
                 txt = sel_texts[p]
-                low = txt.lower()
+                low = txt.lower() if tok.lower else txt
                 st: list[int] = []
                 en: list[int] = []
-                for mt in TOKEN_RE.finditer(low):
+                for mt in TOKEN_RE.finditer(low) if tok.fast_splitter else ():
                     if stopwords and mt.group() in stopwords:
                         continue
                     st.append(mt.start())

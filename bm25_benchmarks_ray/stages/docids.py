@@ -14,8 +14,10 @@ the corpus) plus a prefix sum over conv_ids in sorted order.
 
 Fast path: when turn_idx is dense 0..n-1 within every conv (true for
 transcript logs), rank == turn_idx and assignment is a pure broadcast-
-lookup map_batches.  Fallback: a per-conv dense rank on the
-hash-boundary sort + whole-partition kernel (windows._hash_sorted).
+lookup map_batches.  Sparse-turn corpora: the offsets carry every
+conversation's sorted turn list, and assignment is a broadcast
+searchsorted of each row's (conv, turn) key in them — exact however
+the rows of a conversation are split across files or index groups.
 
 Scale note (100 TB): the conv->offset map has one entry per
 conversation.  Up to O(10^8) convs the `ray.put` broadcast below is
@@ -124,7 +126,7 @@ def assign_doc_ids(
     path where the conv map itself is too big to broadcast.  "auto"
     picks by conv count."""
     if not offsets_are_dense(offsets):
-        return _assign_doc_ids_ranked(ds, offsets)
+        return _assign_doc_ids_sparse(ds, offsets)
     if strategy == "auto":
         strategy = "join" if len(offsets) > JOIN_STRATEGY_CONVS else "broadcast"
     if strategy == "join":
@@ -171,49 +173,53 @@ def _assign_doc_ids_join(ds: rd.Dataset, offsets: pd.DataFrame) -> rd.Dataset:
     return joined.map_batches(add_ids, batch_format="pyarrow")
 
 
-def _assign_doc_ids_ranked(ds: rd.Dataset, offsets: pd.DataFrame) -> rd.Dataset:
-    """Sparse-turn fallback: dense rank within conv, on the repo's
-    hash-boundary sort + whole-partition kernel (windows._hash_sorted)
-    — no per-group dispatch, no pandas batches.  Each sorted partition
-    holds whole conversations; one vectorized pass ranks every conv in
-    the partition and adds ``base[conv] + rank``.  Base lookup is a
-    sorted-array ``searchsorted`` against the offsets table (broadcast
-    once via ``ray.put``), the same shape as the BEIR id map."""
-    from ..pipelines.windows import _hash_sorted
-
-    conv_sorted = offsets["conv_id"].to_numpy()  # sorted by conv_offsets
-    base_sorted = offsets["base"].to_numpy().astype(np.int64)
-    lut_ref = ray.put((conv_sorted, base_sorted))
-
-    def rank_partition(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return tbl.drop_columns(["hkey"]).append_column(
-                "doc_id", pa.array([], type=pa.int64())
-            )
-        conv = tbl.column("conv_id").to_numpy(zero_copy_only=False)
-        turn = tbl.column("turn_idx").to_numpy()
-        # re-establish (conv, turn) order locally: exact regardless of
-        # how the distributed sort tie-broke equal hash keys
-        order = np.lexsort((turn, conv))
-        conv_s = conv[order]
-        n = conv_s.size
-        new_conv = np.empty(n, dtype=bool)
-        new_conv[0] = True
-        new_conv[1:] = conv_s[1:] != conv_s[:-1]
-        starts = np.flatnonzero(new_conv)
-        rank = np.arange(n, dtype=np.int64) - np.repeat(
-            starts, np.diff(np.append(starts, n))
+def turn_keys(offsets: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sparse-turn doc-id lookup from the offsets' per-conversation
+    sorted ``turns`` lists: (sorted conv ids, one ``conv * m + turn``
+    key per doc, m).  Laid end to end the lists are in doc-id order,
+    so a turn's doc id — ``base[conv] +`` its rank in its conversation
+    — is its key's position (:func:`sparse_doc_ids`)."""
+    if "turns" not in offsets:
+        raise ValueError(
+            "sparse-turn offsets lack per-conversation turn lists; "
+            "rebuild the index with fresh=True"
         )
-        convs, bases = ray.get(lut_ref)
-        pos = np.searchsorted(convs, conv_s[starts])
-        base = np.repeat(bases[pos], np.diff(np.append(starts, n)))
-        doc_id = base + rank
-        out = tbl.take(pa.array(order)).drop_columns(["hkey"])
-        return out.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
+    m = int(offsets["max_turn"].max()) + 1
+    key = np.repeat(
+        np.arange(len(offsets), dtype=np.int64), offsets["n_turns"].to_numpy()
+    ) * m + np.concatenate(offsets["turns"].to_list()).astype(np.int64)
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        raise ValueError("duplicate (conv_id, turn_idx) rows")
+    return offsets["conv_id"].to_numpy(), key, m
 
-    return _hash_sorted(ds, "conv_id", ["turn_idx"]).map_batches(
-        rank_partition, batch_format="pyarrow", batch_size=None
-    )
+
+def sparse_doc_ids(
+    keys: tuple[np.ndarray, np.ndarray, int], conv_ids: np.ndarray, turns: np.ndarray
+) -> np.ndarray:
+    """Doc ids of (conv_id, turn_idx) rows under :func:`turn_keys` —
+    exact whichever rows of a conversation a batch or group holds."""
+    convs, key, m = keys
+    conv = np.searchsorted(convs, conv_ids)
+    return np.searchsorted(key, conv * m + turns.astype(np.int64))
+
+
+def _assign_doc_ids_sparse(ds: rd.Dataset, offsets: pd.DataFrame) -> rd.Dataset:
+    """Sparse-turn path: the offsets table already holds every
+    conversation's sorted turn list, so the lookup keys are built once,
+    broadcast via ``ray.put``, and each batch looks its doc ids up — no
+    sort, and a conversation split across input files or index groups
+    keeps one numbering."""
+    keys_ref = ray.put(turn_keys(offsets))
+
+    def add_ids(batch: pa.Table) -> pa.Table:
+        doc_id = sparse_doc_ids(
+            ray.get(keys_ref),
+            batch.column("conv_id").to_numpy(zero_copy_only=False),
+            batch.column("turn_idx").to_numpy(),
+        )
+        return batch.append_column("doc_id", pa.array(doc_id, type=pa.int64()))
+
+    return ds.map_batches(add_ids, batch_format="pyarrow")
 
 
 def docmap_table(ds_with_ids: rd.Dataset) -> rd.Dataset:

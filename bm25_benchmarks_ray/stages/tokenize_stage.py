@@ -26,6 +26,7 @@ from ..functions.tokenizer import (
     resolve_splitter,
     resolve_stemmer,
     resolve_stopwords,
+    tokenize_text,
 )
 
 POSTINGS_SCHEMA = pa.schema(
@@ -51,6 +52,15 @@ class TokenizePostings:
         # Arrow fast path applies only under the default regex splitter
         # (RE2 split ≡ Python (?u)\b\w\w+\b on ASCII input)
         self.fast_splitter = getattr(config, "splitter", "regex") in (None, "regex")
+
+    def terms(self, text: str) -> list[str]:
+        """One text's ordered kept terms — the per-text analyzer every
+        query-side entry point shares, term-for-term the stream
+        :func:`_token_quad` indexes."""
+        return tokenize_text(
+            text, stopwords=self.stopwords, stemmer=self.stemmer,
+            lower=self.lower, splitter=self.findall,
+        )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()

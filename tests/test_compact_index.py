@@ -28,6 +28,9 @@ QUERIES = [
     ("q1", "database network error"),
     ("q2", "user login token"),
 ]
+# QUERIES are out of the corpus vocab, so their rows are all padding;
+# these match real documents (29 docs hold "dup")
+MATCHING = [("m0", "scan window join"), ("m1", "dup")]
 
 
 def _topk(idx: str, k: int = 10):
@@ -136,22 +139,33 @@ def test_compact_preserves_overlap_validation(ray_session, tmp_path):
     # the rejected append left the index finalized and queryable
     man2 = Manifest.load(idx)
     assert man2.is_complete() and "finalize" in man2.stages
-    assert _topk(idx).shape[0] > 0
+    assert search(idx, MATCHING).count() > 0
 
 
 def test_masked_search_needs_group_ranges(ray_session, tmp_path):
     """Masks ship only as per-group shards, so a masked search over a
-    group without a contiguous doc range raises — with or without
-    dense-id padding."""
+    group without a contiguous doc range raises."""
     from bm25_benchmarks_ray.pipelines.docfilter import bitmap_from_ids
 
     idx, man = _holed_compacted_index(tmp_path)
     n = int(man.stats["num_docs"])
     bm = bitmap_from_ids(np.arange(0, n, 2), n)
-    for dense_ids in (False, True):
-        with pytest.raises(ValueError, match="contiguous per-group doc ranges"):
-            search(idx, QUERIES, allowed=bm, dense_ids=dense_ids)
-    assert _topk(idx).shape[0] > 0  # unmasked search still serves it
+    with pytest.raises(ValueError, match="contiguous per-group doc ranges"):
+        search(idx, QUERIES, allowed=bm)
+    assert search(idx, MATCHING).count() > 0  # unmasked search serves it
+
+
+def test_holed_index_pads_no_invented_ids(ray_session, tmp_path):
+    """A range-less index whose ids are not [0, num_docs) (0..199 and
+    1000..1199, num_docs 400) returns matched docs only: merge-side
+    padding from range(num_docs) would return ids 200..249, which are
+    not documents."""
+    idx, _ = _holed_compacted_index(tmp_path)
+    ids = set(range(200)) | set(range(1000, 1200))
+    assert search(idx, QUERIES, k=250).count() == 0  # all out of vocab
+    res = search(idx, MATCHING, k=250, join_back=False).to_pandas()
+    assert set(res["doc_id"]) <= ids
+    assert 0 < (res["qid"] == "m1").sum() < 250  # fewer matches than k
 
 
 def _segment_rows(idx: str):

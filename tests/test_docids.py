@@ -192,3 +192,91 @@ def test_offsets_record_sparse_turns_only(ray_session, tmp_path):
     })
     assert list(conv_offsets(rd.from_arrow(dense))) == [
         "conv_id", "n_turns", "max_turn", "base"]
+
+
+@pytest.mark.parametrize("driver_side", [True, False])
+def test_sparse_turn_group_records_doc_range(
+    ray_session, tmp_path, monkeypatch, driver_side
+):
+    """Sparse-turn ids are base + rank, so a one-group index over them
+    records its doc range, and masked search (tombstones) serves it."""
+    import bm25_benchmarks_ray.pipelines.index_build as ib
+    from bm25_benchmarks_ray.config import IndexConfig
+    from bm25_benchmarks_ray.pipelines.query import search
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+    from bm25_benchmarks_ray.sources.transcripts import synthesize_queries
+
+    if not driver_side:
+        monkeypatch.setattr(ib, "DRIVER_SIDE_ROWS", 0)
+    table = synthesize_transcripts(300, seed=31)
+    table = table.filter(pa.array(np.arange(table.num_rows) % 3 != 1))
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(table, str(d / "t.parquet"))
+    idx = str(tmp_path / "index")
+    man = ib.build_index(str(d), idx, IndexConfig(), mode="transcripts",
+                         n_groups=1)
+    e = man.groups[str(man.done_groups()[0])]
+    assert (e["doc_lo"], e["doc_hi"]) == (0, 200)
+    delete_docs(idx, [1, 2, 3])
+    res = search(idx, synthesize_queries(8, seed=3), k=10).to_pandas()
+    assert len(res) > 0
+    assert not np.isin(res["doc_id"].to_numpy(), [1, 2, 3]).any()
+
+
+def test_sparse_turn_conversation_split_across_groups(ray_session, tmp_path):
+    """A sparse-turn conversation whose turns sit in two input files
+    (two index groups) keeps one numbering: every doc id is the global
+    rank under ORDER BY (conv_id, turn_idx), once, and each group's
+    postings stay inside its recorded doc range."""
+    import pyarrow.dataset as pads
+
+    import bm25_benchmarks_ray.pipelines.index_build as ib
+    from bm25_benchmarks_ray.config import IndexConfig
+    from bm25_benchmarks_ray.stages.segments import (
+        decode_segment,
+        segment_rows_by_term,
+    )
+
+    table = synthesize_transcripts(300, seed=31)
+    table = table.filter(pa.array(np.arange(table.num_rows) % 3 != 1))
+    order = np.lexsort((table.column("turn_idx").to_numpy(),
+                        table.column("conv_id").to_numpy(zero_copy_only=False)))
+    table = table.take(pa.array(order))
+    cut = table.num_rows // 2 + 1
+    assert table.column("conv_id")[cut - 1] == table.column("conv_id")[cut]
+    d = tmp_path / "corpus"
+    d.mkdir()
+    pq.write_table(table.slice(0, cut), str(d / "a.parquet"))
+    pq.write_table(table.slice(cut), str(d / "b.parquet"))
+    idx = str(tmp_path / "index")
+    man = ib.build_index(str(d), idx, IndexConfig(), mode="transcripts",
+                         n_groups=2)
+    docs = {}
+    for g in man.done_groups():
+        seg = pads.dataset(f"{idx}/segments/group={g}").to_table()
+        docs[g] = np.unique(np.concatenate([
+            decode_segment(r, 128)[0]
+            for rows in segment_rows_by_term(seg).values() for r in rows
+        ]))
+    seen = np.concatenate(list(docs.values()))
+    assert sorted(seen.tolist()) == list(range(table.num_rows))
+    for g, ids in docs.items():
+        e = man.groups[str(g)]
+        assert e["doc_lo"] <= ids[0] and ids[-1] < e["doc_hi"]
+
+
+def test_duplicate_turn_rows_raise(tmp_path):
+    """Sparse-turn ids are looked up by (conv_id, turn_idx), so two rows
+    with the same key cannot both get an id: they are rejected."""
+    from bm25_benchmarks_ray.stages.docids import conv_offsets_local, turn_keys
+
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({
+        "conv_id": pa.array(["a", "a", "b"], type=pa.string()),
+        "turn_idx": pa.array([2, 2, 0], type=pa.int32()),
+    }), p)
+    offsets = conv_offsets_local([p])
+    assert not offsets_are_dense(offsets)
+    with pytest.raises(ValueError, match="duplicate"):
+        turn_keys(offsets)

@@ -176,3 +176,32 @@ def test_tombstones_survive_compaction(built):
         assert_rank_identical(
             list(got["doc_id"]), got["score"].to_numpy(), exp, ctx=(qid, qtext)
         )
+
+
+@pytest.mark.parametrize("positions", ["off", "force"])
+def test_phrase_honors_tombstones(ray_session, tmp_path, positions):
+    """Deleted docs never rank on either phrase path; the phrase df
+    still counts them, so the live docs keep their scores."""
+    from bm25_benchmarks_ray.pipelines.phrase import phrase_topk
+    from bm25_benchmarks_ray.pipelines.positions import build_positions
+
+    texts = ["big query engine", "a big query here", "small data",
+             "big query big query"]
+    docs = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+        "text": pa.array(texts, type=pa.string()),
+    }), docs)
+    idx = str(tmp_path / "index")
+    build_index(docs, idx, IndexConfig(), mode="documents")
+    build_positions(idx, docs)
+
+    def scores() -> dict[int, float]:
+        t = phrase_topk(idx, docs, [("q", "big query")], positions=positions)
+        return dict(zip(t.column("doc_id").to_pylist(),
+                        t.column("score").to_pylist()))
+
+    before = scores()
+    assert set(before) == {0, 1, 3}
+    delete_docs(idx, [1])
+    assert scores() == {d: s for d, s in before.items() if d != 1}
