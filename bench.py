@@ -413,8 +413,13 @@ def run_ext_bench(docs_sf: float = 1.0, n_events: int = 10_000_000) -> dict:
         batch_format="pyarrow",
     )
     sh = allowed_shards(ids, nd, ranges)
+    t1 = time.perf_counter()
     _search(pidx, qtexts, k=10, allowed=sh, join_back=False).count()
-    out["filtered_qps"] = round(len(qtexts) / (time.perf_counter() - t0), 1)
+    t2 = time.perf_counter()
+    # shards + search together, comparable with r1-r5; then each alone
+    out["filtered_qps"] = round(len(qtexts) / (t2 - t0), 1)
+    out["filtered_shards_s"] = round(t1 - t0, 3)
+    out["filtered_search_qps"] = round(len(qtexts) / (t2 - t1), 1)
 
     t0 = time.perf_counter()
     bool_query_topk(

@@ -12,6 +12,7 @@ tokenize → index.  Here each step is a streaming Ray Data stage:
       → [extreme skew] groupby(term, salt) pre-merge  # salted hierarchical level
       → groupby(term) → merge runs → segment rows     # the wide shuffle
       → write_parquet(segments/group=K)               # resumable partition
+        + _norms.npy from the tokenize pass's doc lengths (state/norms.py)
 
 The build is partitioned into *groups* (contiguous runs of input files →
 disjoint doc sets).  Groups are the checkpoint/resume unit (manifest
@@ -56,7 +57,8 @@ from ..config import IndexConfig
 from ..stages.docids import assign_doc_ids, conv_offsets, conv_offsets_local
 from ..stages.segments import make_merge_partial, make_merge_sorted
 from ..stages.tokenize_stage import TokenizeRuns
-from ..state.manifest import Manifest
+from ..state.manifest import FormatVersionError, Manifest
+from ..state.norms import PARTS_DIR
 
 OFFSETS_FILE = "offsets.parquet"
 SEGMENTS_DIR = "segments"
@@ -289,12 +291,14 @@ def _merge_width(cfg: IndexConfig, g_rows: int | None, overlap: int = 1) -> int:
 def _build_group_segments(
     ds: rd.Dataset, cfg: IndexConfig, out_dir: str, two_level: bool,
     overlap: int = 1, g_rows: int | None = None,
-) -> None:
-    """One group's pre-combined runs → merged segment rows → parquet
-    (atomic).  The tokenizer emits one compressed run per (term, batch)
-    — the map-side combine — so the sort(tid) shuffle moves
-    ~batch_size× fewer rows than raw postings, keyed by int64 term ids
-    (strings ride only first-sight rows; stages/segments.py).
+) -> str:
+    """One group's pre-combined runs → merged segment rows → parquet in
+    ``out_dir + ".tmp"``, returned unpublished (``_publish_group``
+    renames it into place with its norms).  The tokenizer emits one
+    compressed run per (term, batch) — the map-side combine — so the
+    sort(tid) shuffle moves ~batch_size× fewer rows than raw postings,
+    keyed by int64 term ids (strings ride only first-sight rows;
+    stages/segments.py).
 
     Merge is ``sort("tid")`` + whole-partition ``map_batches`` rather
     than ``groupby().map_groups``: the range partitioner already
@@ -309,9 +313,13 @@ def _build_group_segments(
     # pool's ramp — ~6 s of 30-process spawn+import per build, measured
     # 8.1-8.7 s → 2.0-3.6 s stage wall at sf1.0.  The callable instance
     # pickles per task; its nonce scopes the first-sight set to this
-    # group pipeline (fresh-actor semantics preserved).
+    # group pipeline (fresh-actor semantics preserved).  Each task also
+    # writes its batch's doc lengths into the tmp dir (state/norms.py).
+    tmp = out_dir + ".tmp"
+    if os.path.exists(tmp):
+        shutil.rmtree(tmp)
     runs = ds.map_batches(
-        TokenizeRuns(cfg),
+        TokenizeRuns(cfg, os.path.join(tmp, PARTS_DIR)),
         batch_format="pyarrow",
         batch_size=cfg.tokenize_batch_size,
     )
@@ -324,13 +332,24 @@ def _build_group_segments(
     segments = runs.sort(["tid", "d0"], boundaries=bounds).map_batches(
         make_merge_sorted(cfg.block_size), batch_format="pyarrow", batch_size=None
     )
-    tmp = out_dir + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
     segments.write_parquet(tmp)
+    return tmp
+
+
+def _publish_group(
+    index_dir: str, man: Manifest, gid: int, tmp: str, entry: dict
+) -> None:
+    """Scatter the tmp group dir's norms parts into its norms array,
+    rename the dir into place — segments and norms publish together —
+    and record the group in the manifest."""
+    from ..state.norms import build_norms
+
+    build_norms(index_dir, man, tmp, entry)
+    out_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     os.replace(tmp, out_dir)
+    man.mark_group(gid, **entry, **_group_metrics(out_dir))
 
 
 def _group_metrics(group_dir: str) -> dict:
@@ -365,7 +384,10 @@ def build_index(
     rows = _file_rows(files)
 
     inventory = _inventory_hash(files, rows)
-    man = None if fresh else Manifest.load(index_dir)
+    try:
+        man = None if fresh else Manifest.load(index_dir)
+    except FormatVersionError:
+        man = None  # another format version: rebuild
     if man is not None and man.fingerprint != cfg.fingerprint():
         man = None  # config changed: rebuild
     if man is not None and man.inventory and man.inventory != inventory:
@@ -455,30 +477,28 @@ def build_index(
         # + ~4M-doc groups that needs an extreme salt_range/group ratio
         two_level = g_rows > cfg.salt_range * 64
         g_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
-        _build_group_segments(
+        tmp = _build_group_segments(
             ds, cfg, g_dir, two_level, overlap=overlap, g_rows=g_rows
         )
-        metrics = _group_metrics(g_dir)
         rng = _group_doc_range(g_files, g_rows, mode, offsets)
         bnd = (
             rng
             if rng is not None
             else (_group_doc_bounds(g_files) if mode == "documents" else None)
         )
+        entry = dict(
+            input_files=[os.path.basename(f) for f in g_files],
+            input_ids=_file_ids(g_files, [rows[i] for i in file_idx]),
+            n_docs=g_rows,
+            doc_lo=rng[0] if rng else None,
+            doc_hi=rng[1] if rng else None,
+            doc_bound_lo=bnd[0] if bnd else None,
+            doc_bound_hi=bnd[1] if bnd else None,
+            two_level=two_level,
+            wall_s=round(time.perf_counter() - t0, 3),
+        )
         with man_lock:
-            man.mark_group(
-                gid,
-                input_files=[os.path.basename(f) for f in g_files],
-                input_ids=_file_ids(g_files, [rows[i] for i in file_idx]),
-                n_docs=g_rows,
-                doc_lo=rng[0] if rng else None,
-                doc_hi=rng[1] if rng else None,
-                doc_bound_lo=bnd[0] if bnd else None,
-                doc_bound_hi=bnd[1] if bnd else None,
-                two_level=two_level,
-                wall_s=round(time.perf_counter() - t0, 3),
-                **metrics,
-            )
+            _publish_group(index_dir, man, gid, tmp, entry)
 
     if overlap == 1:
         for gid, file_idx in pending:
@@ -492,13 +512,6 @@ def build_index(
 
     # -- stage: finalize (global vocab/df + corpus stats) -------------
     _finalize_index(man, index_dir)
-    # norms file (state/norms.py): per-group per-doc dl, derived from
-    # the segments in one distributed pass — queries then read postings
-    # without the dls stream.  Fingerprint-checked, so a resumed build
-    # only (re)derives missing/stale groups.
-    from ..state.norms import build_norms
-
-    build_norms(index_dir, man)
     return man
 
 
@@ -658,12 +671,10 @@ def append_index(
                 g_files, columns=["doc_id", "text"], override_num_blocks=nblocks
             )
             g_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
-            _build_group_segments(
+            tmp = _build_group_segments(
                 ds, cfg, g_dir, g_rows > cfg.salt_range * 64, g_rows=g_rows
             )
-            metrics = _group_metrics(g_dir)
-            man.mark_group(
-                gid,
+            _publish_group(index_dir, man, gid, tmp, dict(
                 input_files=[os.path.basename(f) for f in g_files],
                 input_ids=_file_ids(g_files, g_frows),
                 n_docs=g_rows,
@@ -673,8 +684,7 @@ def append_index(
                 doc_bound_hi=bnd[1] if bnd else None,
                 two_level=g_rows > cfg.salt_range * 64,
                 wall_s=round(time.perf_counter() - t0, 3),
-                **metrics,
-            )
+            ))
         # inventory reflects the grown file set: chain the appended
         # batch's hash onto the existing identity (chained only on
         # success, over the full requested batch — a crash-retry ends
@@ -685,9 +695,6 @@ def append_index(
     man.stages.pop("finalize", None)
     man.save()
     _finalize_index(man, index_dir)
-    from ..state.norms import build_norms
-
-    build_norms(index_dir, man)  # new groups only (fingerprinted)
     return man
 
 
@@ -736,7 +743,9 @@ def compact_index(
     byte-identical to a fresh build of the union.  Vocab/df/corpus
     stats are sums over groups, so finalize stays valid untouched;
     query plans shrink from len(gids) groups' term lookups to one.
-    The norms pass then re-derives the merged group's norms file.
+    The merged group's norms array is the source arrays placed at their
+    offsets, written before the merge (whose per-block min dl reads it)
+    and published with the merged segments.
     """
     cfg = cfg or IndexConfig()
     man = Manifest.load(index_dir)
@@ -751,7 +760,8 @@ def compact_index(
         raise ValueError(f"groups not in index: {sorted(missing)}")
     block_size = int(man.config.get("block_size", cfg.block_size))
 
-    from ..stages.segments import SEGMENT_SCHEMA, make_compact_merge
+    from ..stages.segments import make_compact_merge
+    from ..state.norms import NORMS_FILE, build_norms
 
     g_dirs = [os.path.join(index_dir, SEGMENTS_DIR, f"group={g}") for g in gids]
     # read_parquet expands a single directory path but not a LIST of
@@ -793,11 +803,16 @@ def compact_index(
     out_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={new_gid}.compact")
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
+    os.makedirs(out_dir)
+    norms_entry: dict = {}
+    build_norms(index_dir, man, out_dir, norms_entry, sources=gids)
     merged = (
         ds.map_batches(add_d0, batch_format="pyarrow")
         .sort(["tid", "d0"], boundaries=bounds)
         .map_batches(
-            make_compact_merge(block_size), batch_format="pyarrow", batch_size=None
+            make_compact_merge(block_size, os.path.join(out_dir, NORMS_FILE),
+                               norms_entry["norms_lo"]),
+            batch_format="pyarrow", batch_size=None,
         )
     )
     merged.write_parquet(out_dir)
@@ -859,11 +874,9 @@ def compact_index(
         two_level=any(e.get("two_level") for e in entries),
         wall_s=round(time.perf_counter() - t0, 3),
         compacted_from=gids,
+        **norms_entry,
         **_group_metrics(final_dir),
     )
     man.n_groups = len(man.groups)
     man.save()
-    from ..state.norms import build_norms
-
-    build_norms(index_dir, man)  # rewritten groups fail the fingerprint
     return man

@@ -132,11 +132,11 @@ def _postings_bitmaps(
     spec against the shared decode cache.
 
     op="and": any term absent from the vocab ⇒ all-zeros (strict
-    conjunction).  op="or": absent terms simply contribute nothing."""
-    num_docs = index.num_docs
+    conjunction).  op="or": absent terms simply contribute nothing.
+    Bitmaps span the index's id bound (``Index.id_bound``)."""
     block_size = index.cfg.block_size
     out: dict[str, np.ndarray] = {
-        key: np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8)
+        key: np.zeros(bitmap_nbytes(index.id_bound), dtype=np.uint8)
         for key, _, _ in specs
     }
     union_terms = sorted({t for _, terms, _ in specs for t in terms})
@@ -384,14 +384,17 @@ def _positions_counts(
     _make_phrase_counter runs on token streams runs here on keys —
     gap=1 membership (key p matches iff p+j present for every slot j),
     gap>1 the backward nearest-continuation DP.  Emits the candidate-
-    scale (qid, doc_id, ptf, dl) counts table; cost is the phrase
-    terms' postings + ~1 varint per occurrence."""
+    scale (qid, doc_id, ptf, dl) counts table, dl read from the
+    group's norms; cost is the phrase terms' postings + ~1 varint per
+    occurrence."""
     from .positions import POSITIONS_DIR, positions_for_terms
+    from .query import _group_norms
 
     union_terms = sorted({t for _, toks in phrases for t in toks})
     items = [
         {"group_dir": os.path.join(index.index_dir, POSITIONS_DIR, f"group={g}"),
-         "doc_lo": index.group_range(g)[0]}
+         "doc_lo": index.group_range(g)[0],
+         "seg_dir": index.group_dir(g), "norms_lo": index.norms_lo(g)}
         for g in index.gids
     ]
 
@@ -400,9 +403,12 @@ def _positions_counts(
         out_d: list[np.ndarray] = []
         out_tf: list[np.ndarray] = []
         out_dl: list[np.ndarray] = []
-        for gd, lo in zip(batch.column("group_dir").to_pylist(),
-                          batch.column("doc_lo").to_pylist()):
+        for gd, lo, seg_dir, norms_lo in zip(
+            *(batch.column(c).to_pylist()
+              for c in ("group_dir", "doc_lo", "seg_dir", "norms_lo"))
+        ):
             pmap = positions_for_terms(gd, union_terms)
+            norms = _group_norms(seg_dir, norms_lo)[0]
             key_cache: dict[str, np.ndarray] = {}
 
             def keys_of(t: str) -> np.ndarray | None:
@@ -411,7 +417,7 @@ def _positions_counts(
                     v = pmap.get(t)
                     if v is None:
                         return None
-                    docs, _dls, counts, pos_abs = v
+                    docs, counts, pos_abs = v
                     # sorted: docs ascending, positions ascending in doc
                     ks = key_cache[t] = (
                         (np.repeat((docs - lo).astype(np.uint64), counts)
@@ -460,8 +466,7 @@ def _positions_counts(
                     return_counts=True,
                 )
                 hit_docs = doc_rel + lo
-                docs0, dls0, _c0, _p0 = pmap[toks[0]]
-                dl = dls0[np.searchsorted(docs0, hit_docs)]
+                dl = norms[hit_docs - norms_lo]
                 out_q.append(np.full(hit_docs.size, qid, dtype=object))
                 out_d.append(hit_docs)
                 out_tf.append(ptf.astype(np.int64))
@@ -559,7 +564,7 @@ def phrase_topk(
         # queries)
         bms = _postings_bitmaps(index, specs)
         phrases: list[tuple[str, list[str]]] = []
-        union = np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8)
+        union = np.zeros(bitmap_nbytes(index.id_bound), dtype=np.uint8)
         for qid, toks in toks_of.items():
             bm = bms.get(qid)
             if bm is None or not bm.any():

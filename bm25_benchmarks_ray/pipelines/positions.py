@@ -9,21 +9,22 @@ their own file so bag-of-words scoring never pays their bytes):
 
     <index>/positions/group=<g>/*.parquet     one row per (term, group)
     <index>/positions/group=<g>/_POS_DONE     per-group completion marker
-    <index>/positions/meta.json               analyzer fingerprint
+    <index>/positions/analyzer.json           analyzer fingerprint
 
 Row schema (POS_SCHEMA): ``doc_ids`` is delta+varint (absolute first
-value), ``dls`` and ``pcounts`` (positions per posting == tf) are
-plain varint, ``poss`` is per-doc delta+varint over KEPT-stream
+value), ``pcounts`` (positions per posting == tf) is plain varint,
+``poss`` is per-doc delta+varint over KEPT-stream
 positions (first occurrence absolute within the doc, deltas after) —
 the same renumbered stream every other operator here scores on, so
 ``phrase_topk``'s positions path produces bit-identical results to
-the re-tokenize fallback.
+the re-tokenize fallback.  Doc lengths are not stored here: phrase
+scoring reads them from the group's norms (state/norms.py).
 
 Build shape is the index build's in miniature: per manifest group, a
 doc-range-pruned corpus read → a task-pool tokenizer emitting one
 pre-encoded run per (term, batch) → ``sort(["tid", "d0"])`` →
 whole-sorted-partition merge (runs hold disjoint ascending doc spans,
-so dls/pcounts/poss byte-splice and only doc gaps re-encode) →
+so pcounts/poss byte-splice and only doc gaps re-encode) →
 ``write_parquet`` into ``group=<g>.tmp``, renamed over the group
 directory, then the marker.  Resume skips finished groups; a group
 without its marker is rebuilt from scratch.
@@ -64,7 +65,6 @@ POS_SCHEMA = pa.schema(
         ("tid", pa.uint64()),
         ("df", pa.int64()),
         ("doc_ids", pa.binary()),   # delta+varint, absolute first
-        ("dls", pa.binary()),       # varint, dl per posting
         ("pcounts", pa.binary()),   # varint, positions per posting (tf)
         ("poss", pa.binary()),      # varint, per-doc delta positions
     ]
@@ -77,7 +77,6 @@ POS_RUN_SCHEMA = pa.schema(
         ("d0", pa.int64()),
         ("df", pa.int32()),
         ("doc_abs", pa.binary()),   # varint ABSOLUTE doc ids (run-local)
-        ("dls", pa.binary()),
         ("pcounts", pa.binary()),
         ("poss", pa.binary()),
     ]
@@ -99,7 +98,7 @@ class TokenizePositionRuns:
         from ..stages.tokenize_stage import _token_quad
 
         doc_ids_col = batch.column("doc_id").to_numpy()
-        codes_all, uniq, doc_of, doc_lens = _token_quad(
+        codes_all, uniq, doc_of, _ = _token_quad(
             batch.column("text"), self.inner
         )
         n = codes_all.size
@@ -114,13 +113,11 @@ class TokenizePositionRuns:
             doc_start, np.diff(np.append(doc_start, n))
         )
         tok_doc = doc_ids_col[doc_of]
-        tok_dl = doc_lens[doc_of].astype(np.uint64)
         # sort occurrences by (term, doc); stable → positions ascending
         # within each (term, doc) run
         order = np.lexsort((tok_doc, codes_all))
         c0 = codes_all[order]
         d0 = tok_doc[order]
-        l0 = tok_dl[order]
         p0 = pos_all[order].astype(np.uint64)
         new_run = np.concatenate(
             ([True], (c0[1:] != c0[:-1]) | (d0[1:] != d0[:-1]))
@@ -130,7 +127,6 @@ class TokenizePositionRuns:
         tf_s = (run_ends - run_starts).astype(np.uint64)
         codes_s = c0[run_starts]
         doc_s = d0[run_starts].astype(np.uint64)
-        dl_s = l0[run_starts]
         n_terms = len(uniq)
         # posting-space term bounds and occurrence-space term bounds
         bounds = np.searchsorted(codes_s, np.arange(n_terms + 1))
@@ -148,7 +144,6 @@ class TokenizePositionRuns:
             return [buf[bb[i]: bb[i + 1]] for i in range(len(bnds) - 1)]
 
         doc_bufs = enc_sliced(doc_s, bounds)          # ABSOLUTE ids
-        dl_bufs = enc_sliced(dl_s, bounds)
         cnt_bufs = enc_sliced(tf_s, bounds)
         pos_bufs = enc_sliced(gp, obounds)
         t_starts = bounds[:-1]
@@ -162,7 +157,6 @@ class TokenizePositionRuns:
                 ),
                 "df": pa.array(np.diff(bounds).astype(np.int32)),
                 "doc_abs": pa.array(doc_bufs, type=pa.binary()),
-                "dls": pa.array(dl_bufs, type=pa.binary()),
                 "pcounts": pa.array(cnt_bufs, type=pa.binary()),
                 "poss": pa.array(pos_bufs, type=pa.binary()),
             },
@@ -172,7 +166,7 @@ class TokenizePositionRuns:
 
 def _merge_position_runs(tbl: pa.Table) -> pa.Table:
     """Whole-sorted-partition merge: rows arrive sorted (tid, d0) with
-    doc-disjoint runs, so each tid's dls/pcounts/poss streams are a
+    doc-disjoint runs, so each tid's pcounts/poss streams are a
     straight byte splice; doc ids decode (they are absolute in runs),
     concatenate ascending, and re-encode as delta+varint with one
     fused pass for the whole partition."""
@@ -223,7 +217,6 @@ def _merge_position_runs(tbl: pa.Table) -> pa.Table:
                 [dbuf[doff[a]: doff[b]] for a, b in zip(t_start, t_end)],
                 type=pa.binary(),
             ),
-            "dls": pa.array(splice("dls"), type=pa.binary()),
             "pcounts": pa.array(splice("pcounts"), type=pa.binary()),
             "poss": pa.array(splice("poss"), type=pa.binary()),
         },
@@ -262,7 +255,7 @@ def build_positions(
     cfg = index.cfg
     root = positions_dir(index_dir)
     os.makedirs(root, exist_ok=True)
-    meta_p = os.path.join(root, "meta.json")
+    meta_p = os.path.join(root, "analyzer.json")
     fp = hashlib.sha256(cfg.fingerprint().encode()).hexdigest()[:16]
     if os.path.exists(meta_p):
         with open(meta_p) as f:
@@ -320,14 +313,13 @@ def build_positions(
 # ------------------------------------------------------------------ read
 
 def decode_position_row(
-    doc_buf: bytes, dl_buf: bytes, cnt_buf: bytes, pos_buf: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(docs, dls, counts, abs_positions_flat) for one POS_SCHEMA row.
+    doc_buf: bytes, cnt_buf: bytes, pos_buf: bytes
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(docs, counts, abs_positions_flat) for one POS_SCHEMA row.
     ``abs_positions_flat`` holds each posting's kept-stream positions
     back-to-back (``counts`` delimits)."""
     gaps = varint_decode(doc_buf)
     docs = np.cumsum(gaps.view(np.int64))  # absolute first + deltas
-    dls = varint_decode(dl_buf).astype(np.int64)
     counts = varint_decode(cnt_buf).astype(np.int64)
     flat = varint_decode(pos_buf).view(np.int64)
     if counts.sum() != flat.size:
@@ -338,13 +330,13 @@ def decode_position_row(
     base = np.zeros(counts.size, dtype=np.int64)
     base[1:] = cs[seg_start[1:] - 1]
     pos_abs = cs - np.repeat(base, counts)
-    return docs, dls, counts, pos_abs
+    return docs, counts, pos_abs
 
 
 def positions_for_terms(
     group_dir: str, terms: list[str]
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """term → (docs, dls, counts, abs_positions) for one group.  A term
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """term → (docs, counts, abs_positions) for one group.  A term
     split across sort partitions has one row per part, with disjoint
     doc spans; the parts are concatenated in first-doc order, never in
     the order the dataset lists its files."""
@@ -357,7 +349,6 @@ def positions_for_terms(
         out.setdefault(term, []).append(
             decode_position_row(
                 t.column("doc_ids")[i].as_py(),
-                t.column("dls")[i].as_py(),
                 t.column("pcounts")[i].as_py(),
                 t.column("poss")[i].as_py(),
             )
@@ -366,7 +357,7 @@ def positions_for_terms(
         parts.sort(key=lambda p: p[0][0])  # every part holds >= 1 doc
     return {
         term: tuple(
-            np.concatenate([p[j] for p in parts]) for j in range(4)
+            np.concatenate([p[j] for p in parts]) for j in range(3)
         )
         for term, parts in out.items()
     }

@@ -62,6 +62,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, nonoccurrence_shape, tf_shape
@@ -260,15 +261,14 @@ class _DecodeCache:
     how many queries in the batch share the term.  Passed into the
     pruned scorer as its ``full_decode`` hook."""
 
-    def __init__(self, block_size, lo, hi, params, avgdl, s0,
-                 norms=None):
+    def __init__(self, block_size, lo, hi, params, avgdl, s0, norms):
         from ..stages.segments import decode_segment
 
         self._decode = decode_segment
         self.block_size, self.lo, self.hi = block_size, lo, hi
         self.params, self.avgdl, self.s0 = params, avgdl, s0
-        # norms-file mode (state/norms.py): (uint32 mmap, group doc_lo)
-        # — decoded rows arrive with dl=None and dl_at() resolves it
+        # the group's (norms array, norms_lo): every posting's dl
+        # (state/norms.py) — segment rows carry none
         self.norms = norms
         self.data: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # dense-path caches: doc - lo as int32 (valid: dense slices are
@@ -304,21 +304,16 @@ class _DecodeCache:
             return
 
         def flush(chunk: list[dict]) -> None:
-            triples = bulk_decode_rows(chunk, self.block_size, self.lo, self.hi)
-            tf_all = np.concatenate([t for _, t, _ in triples])
-            if any(d is None for _, _, d in triples):
-                dl_all = self.dl_at(
-                    np.concatenate([doc for doc, _, _ in triples])
-                )
-            else:
-                dl_all = np.concatenate([d for _, _, d in triples])
+            pairs = bulk_decode_rows(chunk, self.block_size, self.lo, self.hi)
+            tf_all = np.concatenate([t for _, t in pairs])
+            dl_all = self.dl_at(np.concatenate([doc for doc, _ in pairs]))
             base_all = (
                 tf_shape(self.params, tf_all, dl_all, self.avgdl) - self.s0
                 if tf_all.size
                 else tf_all.astype(np.float64)
             )
             off = 0
-            for row, (doc, tf, _) in zip(chunk, triples):
+            for row, (doc, tf) in zip(chunk, pairs):
                 self.data[self._key(row)] = (doc, base_all[off : off + tf.size])
                 off += tf.size
 
@@ -347,8 +342,7 @@ class _DecodeCache:
         return v
 
     def dl_at(self, doc: np.ndarray) -> np.ndarray:
-        """Per-posting dl from the group norms file — the dls stream
-        was pruned from the read."""
+        """Per-posting dl from the group's norms array."""
         arr, base = self.norms
         return arr[doc - base]
 
@@ -365,11 +359,9 @@ class _DecodeCache:
         key = self._key(row)
         hit = self.data.get(key)
         if hit is None:
-            doc, tf, dl = self._decode(row, self.block_size, self.lo, self.hi)
-            if dl is None and doc.size:
-                dl = self.dl_at(doc)
+            doc, tf = self._decode(row, self.block_size, self.lo, self.hi)
             base = (
-                tf_shape(self.params, tf, dl, self.avgdl) - self.s0
+                tf_shape(self.params, tf, self.dl_at(doc), self.avgdl) - self.s0
                 if doc.size
                 else np.empty(0, dtype=np.float64)
             )
@@ -544,8 +536,7 @@ def score_range(
             dense_ok and k >= DENSE_K_CUTOFF and (hi - lo) >= DENSE_MIN_RANGE
         ):
             doc, score = score_query_pruned(
-                rows, ws, params, avgdl, k, block_size, lo, hi, qc,
-                full_decode=decoded,
+                rows, ws, params, avgdl, k, block_size, qc, full_decode=decoded,
             )
             if doc.size >= k:
                 # k matched at strictly > qconst: padding can never be
@@ -687,32 +678,23 @@ def query_plan_terms(plan: dict, q_lo: int, q_hi: int) -> list[str]:
 # worker-process cache of group norms mmaps (file open + header parse
 # per task otherwise; the mmap itself is page-cache shared node-wide).
 # Keyed on the .npy file's identity: scoring workers outlive index
-# rewrites, and build_norms replaces the file (new inode) whenever
-# append/compaction changes a group's docs.
-_NORMS_CACHE: dict[tuple, tuple[np.ndarray, int]] = {}
+# rewrites, and append/compaction publish a group dir with a new file
+# (new inode) whenever they change a group's docs.
+_NORMS_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _group_norms(norms_index: str, group_dir: str) -> tuple[np.ndarray, int]:
-    from ..state.norms import _norm_paths, load_group_norms
+def _group_norms(group_dir: str, norms_lo: int) -> tuple[np.ndarray, int]:
+    """(norms mmap, norms_lo) for one group directory."""
+    from ..state.norms import NORMS_FILE, load_group_norms
 
-    g = int(group_dir.rsplit("group=", 1)[1])
-    st = os.stat(_norm_paths(norms_index, g)[0])
-    key = (norms_index, g, st.st_ino, st.st_mtime_ns, st.st_size)
-    v = _NORMS_CACHE.get(key)
-    if v is None:
+    st = os.stat(os.path.join(group_dir, NORMS_FILE))
+    key = (group_dir, st.st_ino, st.st_mtime_ns, st.st_size)
+    arr = _NORMS_CACHE.get(key)
+    if arr is None:
         if len(_NORMS_CACHE) > 64:
             _NORMS_CACHE.clear()
-        v = _NORMS_CACHE[key] = load_group_norms(norms_index, g)
-    return v
-
-
-# segment columns the query path reads when the dl stream comes from
-# the norms file instead (state/norms.py): dls/blk_off_dl never leave
-# storage
-_SEG_COLS_NO_DL = [
-    "term", "tid", "df", "doc_ids", "tfs", "bmax_tf", "bmin_dl",
-    "blk_doc0", "blk_off_doc", "blk_off_tf",
-]
+        arr = _NORMS_CACHE[key] = load_group_norms(group_dir)
+    return arr, norms_lo
 
 
 def _partials_table(
@@ -744,14 +726,13 @@ def score_slice(
     block_size: int,
     prune: bool,
     dense_pad: bool,
-    norms_index: str | None,
 ) -> pa.Table:
     """Score queries [q_lo, q_hi) against one (group, doc-range) slice.
 
     ``plan`` is passed as the ``ray.put`` ref of search()'s plan, so
     Ray resolves it on the worker (one object store copy per node, not
     one per task); ``item`` is one scatter entry
-    ``(group_dir, lo, hi, q_lo, q_hi)``.
+    ``(group_dir, norms_lo, lo, hi, q_lo, q_hi)``.
 
     A build group can be far wider than one task should chew, so the
     scatter unit is a doc-id slice of a group: every task reads the
@@ -773,7 +754,7 @@ def score_slice(
     padding merge stays exact (pruning could otherwise drop a matched
     doc that the pad would then mislabel as unmatched-at-qconst).
     """
-    group_dir, lo, hi, q_lo, q_hi = item
+    group_dir, norms_lo, lo, hi, q_lo, q_hi = item
     terms_here = query_plan_terms(plan, q_lo, q_hi)
     rows_by_term: dict[str, list[dict]] = {}
     if terms_here:
@@ -785,17 +766,16 @@ def score_slice(
         from ..stages.segments import segment_rows_by_term
 
         seg = pads.dataset(group_dir).to_table(
-            filter=pc.field("term").isin(terms_here),
-            columns=_SEG_COLS_NO_DL if norms_index else None,
+            filter=pc.field("term").isin(terms_here)
         )
         rows_by_term = segment_rows_by_term(seg)
     if not rows_by_term and not dense_pad:
         return _EMPTY_PARTIALS
-    norms = _group_norms(norms_index, group_dir) if norms_index else None
     # decoded (doc, tf_shape - s0) per term, shared across every query
     # in this task — hot terms decode once, not per query
     decoded = _DecodeCache(block_size, lo, hi, params, avgdl,
-                           nonoccurrence_shape(params), norms=norms)
+                           nonoccurrence_shape(params),
+                           _group_norms(group_dir, norms_lo))
     return _partials_table(*score_range(
         plan, rows_by_term, params, avgdl, k, block_size,
         lo, hi, q_lo, q_hi, prune, dense_pad, decoded,
@@ -961,8 +941,7 @@ class Index:
     query side derives from it — config, collection stats, the groups
     in scope, their contiguous doc ranges, the padding those allow
     (module docstring) and the analyzer, plus (read on first use) the
-    tombstones, the norms freshness, the join-back offsets and a
-    term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
+    tombstones, the join-back offsets and a term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
     and snippet entry points and ``build_positions`` all read the index
     through one handle; only a server keeps it past one call."""
 
@@ -979,6 +958,12 @@ class Index:
             if k_ in IndexConfig.__dataclass_fields__
         })
         self.num_docs = int(man.stats["num_docs"])
+        # exclusive bound on the doc ids: num_docs unless a group records
+        # ids past it (a documents index with holes or offset ids)
+        self.id_bound = max([self.num_docs] + [
+            int(e.get("doc_hi") or e.get("doc_bound_hi") or 0)
+            for e in man.groups.values()
+        ])
         self.avgdl = float(man.stats["avgdl"])
         self.avg_idf = man.stats.get("avg_robertson_idf")
         self.gids = man.done_groups()
@@ -1011,9 +996,13 @@ class Index:
         cfg: IndexConfig | None = None,
         groups: list[int] | None = None,
     ) -> "Index":
+        from ..state.norms import has_norms
+
         man = Manifest.load(index_dir)
         if man is None or not man.is_complete():
             raise ValueError(f"no complete index at {index_dir}")
+        if not has_norms(index_dir, man):
+            raise ValueError(f"index at {index_dir} lacks group norms: rebuild it")
         return cls(index_dir, man, cfg, groups)
 
     def analyze(self, text: str) -> list[str]:
@@ -1025,6 +1014,19 @@ class Index:
 
     def group_range(self, g: int) -> tuple[int, int]:
         return self.ranges.get(g, (0, self.num_docs))
+
+    def slice_bounds(self, g: int, n: int) -> np.ndarray:
+        """n + 1 doc-id bounds cutting group ``g`` into n scoring slices.
+        Without recorded ranges the group's ids are unknown, so the last
+        slice is open-ended."""
+        bounds = np.linspace(*self.group_range(g), n + 1).astype(np.int64)
+        if not self.ranges:
+            bounds[-1] = np.iinfo(np.int64).max
+        return bounds
+
+    def norms_lo(self, g: int) -> int:
+        """Base doc id of group ``g``'s norms array."""
+        return int(self.man.groups[str(g)]["norms_lo"])
 
     def df_of(self, terms: list[str]) -> dict[str, int]:
         """In-vocab terms → df; one term-pruned vocab read for the terms
@@ -1057,17 +1059,21 @@ class Index:
         )
 
     @cached_property
-    def norms_index(self) -> str | None:
-        """The index dir when every group has a fresh norms file
-        (scoring then reads postings without the dl stream), else None."""
-        from ..state.norms import has_norms
-
-        return self.index_dir if has_norms(self.index_dir, self.man) else None
-
-    @cached_property
     def offsets(self) -> pd.DataFrame | None:
         """The doc_id → (conv_id, turn_idx) join-back table (transcripts)."""
         return load_offsets(self.index_dir)
+
+
+class _Results(MaterializedDataset):
+    """search()'s result: one in-memory Arrow table.  Ray Data's
+    ``to_pandas()`` of a zero-row dataset has no columns; this one keeps
+    the result schema, so ``df["qid"]`` works on an empty result too."""
+
+    def to_pandas(self, limit: int | None = None) -> pd.DataFrame:
+        df = super().to_pandas(limit)
+        if df.columns.empty:
+            df = self.schema().base_schema.empty_table().to_pandas()
+        return df
 
 
 def _join_back(tbl: pa.Table, offsets: pd.DataFrame) -> pa.Table:
@@ -1173,7 +1179,7 @@ def search(
         index = Index.open(index, cfg, groups)
     elif cfg is not None or groups is not None:
         raise ValueError("pass cfg and groups to Index.open, not search()")
-    num_docs, gids, ranges = index.num_docs, index.gids, index.ranges
+    num_docs, gids = index.num_docs, index.gids
 
     per_query = allowed if isinstance(allowed, list) else [allowed] * len(queries)
     if len(per_query) != len(queries):
@@ -1239,28 +1245,21 @@ def search(
     q_bounds = np.linspace(0, n_q, n_qbatch + 1).astype(np.int64)
     slices = []
     for g in gids:
-        bounds = np.linspace(*index.group_range(g), n_slices + 1).astype(np.int64)
-        if not ranges:
-            bounds[-1] = np.iinfo(np.int64).max  # unknown range: open tail
+        bounds = index.slice_bounds(g, n_slices)
         slices += [
-            (index.group_dir(g), int(bounds[s]), int(bounds[s + 1]))
+            (index.group_dir(g), index.norms_lo(g), int(bounds[s]), int(bounds[s + 1]))
             for s in range(n_slices)
         ]
-    # norms-file mode (state/norms.py): when every group has a fresh
-    # norms sidecar, scoring tasks read segment rows WITHOUT the dls
-    # stream and resolve dl via the group's mmap — ~28% fewer posting
-    # bytes off storage and through decode.
-    norms_index = index.norms_index
     # one task list per q-batch, submitted in the order the merge
     # below consumes them
     refs = [
         [
             score_slice.remote(
-                plan_ref, (gdir, lo, hi, int(q_bounds[qb]), int(q_bounds[qb + 1])),
+                plan_ref, (*sl, int(q_bounds[qb]), int(q_bounds[qb + 1])),
                 params, index.avgdl, k, index.cfg.block_size,
-                mode == "pruned", index.dense_pad, norms_index,
+                mode == "pruned", index.dense_pad,
             )
-            for gdir, lo, hi in slices
+            for sl in slices
         ]
         for qb in range(n_qbatch)
     ]
@@ -1279,4 +1278,6 @@ def search(
         )
         for qb_refs in refs
     ])
-    return rd.from_arrow(finish_results(merged, plan, k, index, offsets))
+    out = rd.from_arrow(finish_results(merged, plan, k, index, offsets))
+    out.__class__ = _Results
+    return out

@@ -41,6 +41,7 @@ from .query import (
     _DecodeCache,
     _EMPTY_PARTIALS,
     _concat_partials,
+    _group_norms,
     _merge_partials_local,
     _partials_table,
     _query_plan,
@@ -60,6 +61,7 @@ class GroupScorer:
     def __init__(
         self,
         group_dir: str,
+        norms_lo: int,
         params: BM25Params,
         avgdl: float,
         block_size: int,
@@ -79,7 +81,8 @@ class GroupScorer:
         # partitions at build time (segment_rows_by_term)
         self.rows: dict[str, list[dict] | None] = {}
         self.decoded = _DecodeCache(
-            block_size, lo, hi, params, avgdl, nonoccurrence_shape(params)
+            block_size, lo, hi, params, avgdl, nonoccurrence_shape(params),
+            _group_norms(group_dir, norms_lo),
         )
 
     def warm(self, terms: list[str]) -> int:
@@ -144,8 +147,9 @@ class BM25Server:
         self.join_back = join_back
         self.actors = [
             GroupScorer.options(num_cpus=num_cpus_per_actor).remote(
-                ix.group_dir(g), self.params, ix.avgdl, ix.cfg.block_size,
-                *ix.group_range(g), mode == "pruned", ix.dense_pad,
+                ix.group_dir(g), ix.norms_lo(g), self.params, ix.avgdl,
+                ix.cfg.block_size,
+                *map(int, ix.slice_bounds(g, 1)), mode == "pruned", ix.dense_pad,
             )
             for g in ix.gids
         ]

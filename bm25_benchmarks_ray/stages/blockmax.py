@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..functions.bm25 import BM25Params, nonoccurrence_shape, tf_shape
-from .segments import decode_segment
 
 
 def term_block_ubs(
@@ -54,28 +53,6 @@ def candidate_block_selection(row: dict, cand: np.ndarray) -> tuple[np.ndarray, 
     return blocks, int(doc0.size)
 
 
-def decode_candidate_blocks(
-    row: dict, block_size: int, cand: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode only the blocks that can contain candidate docs, then
-    restrict to the candidates themselves.  Returns (doc, tf, dl) for
-    postings whose doc is in ``cand`` (sorted).  All selected blocks
-    decode in ONE varint pass per stream (decode_selected_blocks) —
-    per-run decode calls used to dominate pruned-query profiles."""
-    from .segments import decode_selected_blocks
-
-    blocks, nb = candidate_block_selection(row, cand)
-    if blocks.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    doc, tf, dl = decode_selected_blocks(row, block_size, blocks)
-    # both sides sorted: searchsorted membership
-    idx = np.searchsorted(cand, doc)
-    idx = np.minimum(idx, cand.size - 1)
-    keep = cand[idx] == doc
-    return doc[keep], tf[keep], dl[keep] if dl is not None else None
-
-
 def score_query_pruned(
     term_rows: list[dict],
     weights: list[float],
@@ -83,21 +60,23 @@ def score_query_pruned(
     avgdl: float,
     k: int,
     block_size: int,
-    lo: int,
-    hi: int,
     qconst: float,
-    full_decode=None,
+    full_decode,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k (docs, scores) for one query over one doc slice.
+    """Exact top-k (docs, scores) for one query over the doc slice of
+    ``full_decode``.
 
     term_rows: the query's segment rows (one per in-vocab term in this
     group); weights: occurrence-count × idf per term.
 
-    ``full_decode(row) -> (doc, base)`` (base = tf_shape - s0): an
-    optional caller-owned cache so a term shared by many queries in one
-    task is decoded once, not once per query.  The candidate-blocks
-    fast path skips it unless the term is already cached (a cached full
-    list is free; a fresh full decode would defeat the block skip)."""
+    ``full_decode`` is the caller-owned task cache
+    (``pipelines.query._DecodeCache``): ``full_decode(row) -> (doc,
+    base)`` (base = tf_shape - s0) decodes a term shared by many
+    queries once, ``gmax(row)`` caches its max block bound, and
+    ``dl_at(doc)`` reads doc lengths from the group's norms.  The
+    candidate-blocks fast path skips the full decode unless the term is
+    already cached (a cached full list is free; a fresh full decode
+    would defeat the block skip)."""
     s0 = nonoccurrence_shape(params)
     m = len(term_rows)
     if m == 0:
@@ -107,14 +86,8 @@ def score_query_pruned(
     # (negative idf) are forced to the front and never pruned.  The max
     # block ub is cached per term in full_decode (shared by every query
     # of the task's batch).
-    gmax = np.empty(m, dtype=np.float64)
-    if full_decode is not None and hasattr(full_decode, "gmax"):
-        for i, row in enumerate(term_rows):
-            gmax[i] = weights[i] * full_decode.gmax(row)
-    else:
-        for i, row in enumerate(term_rows):
-            ubs = term_block_ubs(row, params, avgdl, s0)
-            gmax[i] = weights[i] * (ubs.max() if ubs.size else 0.0)
+    gmax = np.array([w * full_decode.gmax(row)
+                     for row, w in zip(term_rows, weights)], dtype=np.float64)
     neg = gmax < 0
     order = np.concatenate(
         [np.flatnonzero(neg), np.flatnonzero(~neg)[np.argsort(-gmax[~neg])]]
@@ -135,20 +108,19 @@ def score_query_pruned(
             any_neg_pending = False
         prune_active = (not any_neg_pending) and cand_doc.size >= k
 
-        cached = full_decode is not None and full_decode.cached(row)
+        cached = full_decode.cached(row)
         prune_term = prune_active and w > 0 and gmax[i] + rem[pos + 1] < threshold
         if prune_term and not cached:
             # an unseen doc cannot reach the threshold through this and
             # later terms: score this term for candidates only, decoding
             # candidate blocks alone
             blocks, nblk = candidate_block_selection(row, cand_doc)
-            if full_decode is not None and blocks.size * 2 >= nblk > 0:
+            if blocks.size * 2 >= nblk > 0:
                 # candidates cover most of the term's blocks: a straight
                 # full decode is CHEAPER than the scattered-block gather
                 # (measured at sf8, 560k-df term, 68% coverage: 13 vs
-                # 17-19 ms — the gathered byte blob mixes 1-byte gap and
-                # multi-byte dl streams, forcing every value through
-                # varint's general path) AND it lands in the task-wide
+                # 17-19 ms, when the gathered blob still mixed 1-byte gap
+                # and multi-byte dl streams) AND it lands in the task-wide
                 # cache, so later queries sharing this term pay only the
                 # searchsorted membership of the cached branch below
                 doc, base = full_decode(row)
@@ -162,17 +134,16 @@ def score_query_pruned(
             else:
                 from .segments import decode_selected_blocks
 
-                doc, tf, dl = decode_selected_blocks(row, block_size, blocks)
+                doc, tf = decode_selected_blocks(row, block_size, blocks)
                 idx = np.searchsorted(cand_doc, doc)
                 idx = np.minimum(idx, cand_doc.size - 1)
                 keep = cand_doc[idx] == doc
                 doc, tf = doc[keep], tf[keep]
-                if dl is None:  # norms-file mode: dls stream not read
-                    dl = full_decode.dl_at(doc) if doc.size else doc
-                else:
-                    dl = dl[keep]
-                base = tf_shape(params, tf, dl, avgdl) - s0 if doc.size else None
-        elif full_decode is not None:
+                base = (
+                    tf_shape(params, tf, full_decode.dl_at(doc), avgdl) - s0
+                    if doc.size else None
+                )
+        else:
             doc, base = full_decode(row)
             if doc.size and prune_term:
                 # cached full list, candidates-only semantics: both sides
@@ -181,14 +152,6 @@ def score_query_pruned(
                 idx = np.minimum(idx, doc.size - 1)
                 hit = doc[idx] == cand_doc
                 doc, base = cand_doc[hit], base[idx[hit]]
-        else:
-            doc, tf, dl = decode_segment(row, block_size, lo, hi)
-            if dl is None and doc.size:
-                raise ValueError(
-                    "segment row read without dls needs a norms-aware "
-                    "full_decode cache"
-                )
-            base = tf_shape(params, tf, dl, avgdl) - s0 if doc.size else None
         if doc.size:
             cand_doc, cand_score = _accumulate(cand_doc, cand_score, doc, w * base)
         if cand_doc.size >= k and not any_neg_pending:

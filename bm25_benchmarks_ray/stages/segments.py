@@ -29,8 +29,9 @@ dwarfs ``salt_range``.
 
 The segment layout follows the PISA family the reference drives
 (/root/reference/benchmark/on_pisa.py:33-51: compressed posting lists +
-block-max metadata + impact-based pruning), but stores raw ``(tf, dl)``
-per posting instead of one method's precomputed impacts: every BM25
+block-max metadata + impact-based pruning), but stores raw ``tf`` per
+posting instead of one method's precomputed impacts; a doc's ``dl``
+lives once in its group's norms array (state/norms.py).  Every BM25
 variant's impact is ``idf(df) * tf_shape(tf, dl)`` with ``tf_shape``
 increasing in tf and decreasing in dl, so the per-block ``(max_tf,
 min_dl)`` pair upper-bounds the block impact for *any*
@@ -62,7 +63,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("sum_tf", pa.int64()),    # Σ tf (stats aggregation, no decode pass)
         ("doc_ids", pa.binary()),  # block-reset delta+varint (see below)
         ("tfs", pa.binary()),      # varint
-        ("dls", pa.binary()),      # varint
         ("bmax_tf", pa.binary()),  # u32 per block of block_size postings
         ("bmin_dl", pa.binary()),  # u32 per block
         # random-access skip table: per block, the first doc_id (int64)
@@ -73,7 +73,6 @@ SEGMENT_SCHEMA = pa.schema(
         ("blk_doc0", pa.binary()),
         ("blk_off_doc", pa.binary()),
         ("blk_off_tf", pa.binary()),
-        ("blk_off_dl", pa.binary()),
     ]
 )
 
@@ -83,7 +82,8 @@ SEGMENT_SCHEMA = pa.schema(
 # each term's postings arrive globally doc-ordered at the merge — no
 # per-posting sort, and tf/dl streams byte-splice without re-encoding),
 # a small df and three compressed blobs (vs term string + 2×int64 per
-# row before the id-keyed design).
+# row before the id-keyed design).  Runs carry each posting's dl only
+# for the merge's per-block min dl (``bmin_dl``); segments drop it.
 RUN_SCHEMA = pa.schema(
     [
         ("tid", pa.uint64()),
@@ -133,7 +133,8 @@ def encode_postings(
     dls: np.ndarray,
     block_size: int,
 ) -> dict:
-    """One final segment row from (already doc-sorted) posting arrays.
+    """One final segment row from (already doc-sorted) posting arrays;
+    ``dls`` (each posting's doc length) only sets the per-block min dl.
 
     doc_ids use *block-reset* delta coding: within a block, values are
     gaps; the first value of every block is absolute.  A whole-row
@@ -149,7 +150,6 @@ def encode_postings(
         gaps[starts] = doc_ids[starts].astype(np.uint64)
     doc_buf, doc_off = varint_encode_with_offsets(gaps, block_size)
     tf_buf, tf_off = varint_encode_with_offsets(tfs.astype(np.uint64), block_size)
-    dl_buf, dl_off = varint_encode_with_offsets(dls.astype(np.uint64), block_size)
     bmax, bmin = _block_bounds(tfs, dls, block_size)
     return {
         "term": term,
@@ -157,13 +157,11 @@ def encode_postings(
         "sum_tf": int(tfs.sum()),
         "doc_ids": doc_buf,
         "tfs": tf_buf,
-        "dls": dl_buf,
         "bmax_tf": bmax,
         "bmin_dl": bmin,
         "blk_doc0": doc_ids[starts].tobytes(),
         "blk_off_doc": u32_encode(doc_off),
         "blk_off_tf": u32_encode(tf_off),
-        "blk_off_dl": u32_encode(dl_off),
     }
 
 
@@ -179,35 +177,28 @@ def _blockwise_docs(gaps: np.ndarray, block_size: int) -> np.ndarray:
     return m.reshape(nb, block_size).cumsum(axis=1).reshape(-1)[:n]
 
 
-_EMPTY3 = (
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-)
+_EMPTY2 = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def decode_segment(
     row: dict, block_size: int, lo: int | None = None, hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(doc_ids, tfs, dls) for a segment row, optionally restricted to
-    doc range [lo, hi): only the covering blocks are decoded (skip-table
+) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfs) for a segment row, optionally restricted to doc
+    range [lo, hi): only the covering blocks are decoded (skip-table
     byte offsets), so a doc-sliced query task pays for its share of the
-    posting list, not the whole list.
-
-    A row read with the ``tfs`` or ``dls`` column pruned away (the
-    norms-file query path, state/norms.py) returns ``None`` for that
-    stream — the caller supplies dl via the norms lookup instead."""
+    posting list, not the whole list.  Doc lengths come from the
+    group's norms array (state/norms.py)."""
     doc0 = np.frombuffer(row["blk_doc0"], dtype=np.int64)
     nb = doc0.size
     if nb == 0:
-        return _EMPTY3
+        return _EMPTY2
     if lo is None:
         b0, b1 = 0, nb
     else:
         b0 = max(int(np.searchsorted(doc0, lo, side="right")) - 1, 0)
         b1 = int(np.searchsorted(doc0, hi, side="left"))
         if b0 >= b1:
-            return _EMPTY3
+            return _EMPTY2
 
     def _slice(buf: bytes, off_key: str) -> bytes:
         off = np.frombuffer(row[off_key], dtype=np.uint32)
@@ -220,26 +211,17 @@ def decode_segment(
     # tiny): an astype here was a pure extra copy on the query hot
     # path, while keeping int64 preserves numpy's fast int64→float64
     # SIMD conversion inside tf_shape (uint64→float64 is the slow loop)
-    tf = (
-        varint_decode(_slice(row["tfs"], "blk_off_tf")).view(np.int64)
-        if "tfs" in row else None
-    )
-    dl = (
-        varint_decode(_slice(row["dls"], "blk_off_dl")).view(np.int64)
-        if "dls" in row else None
-    )
+    tf = varint_decode(_slice(row["tfs"], "blk_off_tf")).view(np.int64)
     if lo is not None:
         a, b = np.searchsorted(doc, [lo, hi])
-        doc = doc[a:b]
-        tf = tf[a:b] if tf is not None else None
-        dl = dl[a:b] if dl is not None else None
-    return doc, tf, dl
+        doc, tf = doc[a:b], tf[a:b]
+    return doc, tf
 
 
 def decode_selected_blocks(
     row: dict, block_size: int, blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(doc_ids, tfs, dls) for a sorted-unique array of block indices —
+) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfs) for a sorted-unique array of block indices —
     ONE varint decode per stream no matter how scattered the blocks.
 
     Works because coding is block-reset: every block's first doc value
@@ -249,10 +231,10 @@ def decode_selected_blocks(
     doc0 = np.frombuffer(row["blk_doc0"], dtype=np.int64)
     nb = doc0.size
     if nb == 0 or blocks.size == 0:
-        return _EMPTY3
+        return _EMPTY2
 
     # selected blocks are often consecutive (candidates cluster):
-    # coalesce adjacent block ids into runs once, shared by all three
+    # coalesce adjacent block ids into runs once, shared by both
     # streams, then gather each stream's run byte-ranges in ONE
     # fancy-index pass (no Python per-block slice loop)
     run_start = np.concatenate(([True], blocks[1:] != blocks[:-1] + 1))
@@ -274,49 +256,37 @@ def decode_selected_blocks(
         idx = np.repeat(first, lens) + np.arange(total, dtype=np.int64)
         return b[idx]
 
-    with_dl = "dls" in row  # pruned away on the norms-file query path
-    gb = [
-        gather(row["doc_ids"], "blk_off_doc"),
-        gather(row["tfs"], "blk_off_tf"),
-    ]
-    if with_dl:
-        gb.append(gather(row["dls"], "blk_off_dl"))
-    ns = len(gb)
-    if sum(g.size for g in gb) >= 8192:
+    gd = gather(row["doc_ids"], "blk_off_doc")
+    gt = gather(row["tfs"], "blk_off_tf")
+    if gd.size + gt.size >= 8192:
         # large selection: decode per stream so a uniformly-1-byte
         # stream (doc gaps, tf≈1) keeps varint_decode's all-one-byte
-        # fast path — concatenated with a multi-byte dl stream, every
+        # fast path — concatenated with a multi-byte stream, every
         # value pays the general gather loop (measured 1.5-2.9x slower
         # from 16KB up; crossover ~8KB)
-        doc = _blockwise_docs(varint_decode(gb[0]), block_size)
-        tf = varint_decode(gb[1]).view(np.int64)
-        dl = varint_decode(gb[2]).view(np.int64) if with_dl else None
-        return doc, tf, dl
-    # small selection: ONE varint decode for all streams — they carry
+        doc = _blockwise_docs(varint_decode(gd), block_size)
+        return doc, varint_decode(gt).view(np.int64)
+    # small selection: ONE varint decode for both streams — they carry
     # the same value count (one per selected posting), so the
-    # concatenated decode splits into exact halves/thirds; candidate
-    # decodes this size are per-call-overhead-bound, and this removes
-    # all but one call
-    vals = varint_decode(np.concatenate(gb))
-    p = vals.size // ns
-    doc = _blockwise_docs(vals[:p], block_size)
-    tf = vals[p : 2 * p].view(np.int64)
-    dl = vals[2 * p :].view(np.int64) if with_dl else None
-    return doc, tf, dl
+    # concatenated decode splits into exact halves; candidate decodes
+    # this size are per-call-overhead-bound, and this removes a call
+    vals = varint_decode(np.concatenate((gd, gt)))
+    p = vals.size // 2
+    return _blockwise_docs(vals[:p], block_size), vals[p:].view(np.int64)
 
 
 def bulk_decode_rows(
     rows: list[dict], block_size: int, lo: int | None = None, hi: int | None = None
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Decode MANY segment rows' (doc, tf, dl) with ONE varint pass per
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Decode MANY segment rows' (doc, tf) with ONE varint pass per
     stream — the query-side analogue of the merge path's block decode.
     Per-row ``decode_segment`` costs ~0.15 ms of fixed numpy-call
     overhead; a 500-query task touches thousands of small terms, so the
     per-call overhead dominated pruned-query profiles (measured ~0.8 s
-    of a 3.7 s task).  Returns per-row (doc, tf, dl) aligned with
+    of a 3.7 s task).  Returns per-row (doc, tf) aligned with
     ``rows``, each restricted to [lo, hi) like decode_segment."""
     n = len(rows)
-    empty = _EMPTY3
+    empty = _EMPTY2
     out: list = [empty] * n
     if n == 0:
         return out
@@ -324,7 +294,6 @@ def bulk_decode_rows(
     # ops per row; the expensive decode is fused below)
     d_parts: list[np.ndarray] = []
     t_parts: list[np.ndarray] = []
-    l_parts: list[np.ndarray] = []
     live: list[int] = []
     b0s: list[int] = []
     for i, row in enumerate(rows):
@@ -342,10 +311,7 @@ def bulk_decode_rows(
         for parts, buf_key, off_key in (
             (d_parts, "doc_ids", "blk_off_doc"),
             (t_parts, "tfs", "blk_off_tf"),
-            (l_parts, "dls", "blk_off_dl"),
         ):
-            if buf_key not in row:  # pruned stream (norms query path)
-                continue
             off = np.frombuffer(row[off_key], dtype=np.uint32)
             buf = np.frombuffer(row[buf_key], dtype=np.uint8)
             end = int(off[b1]) if b1 < nb else buf.size
@@ -357,7 +323,7 @@ def bulk_decode_rows(
     m = len(live)
     dbytes = np.concatenate(d_parts) if m > 1 else d_parts[0]
     # value counts per row from the doc stream's terminator bytes (the
-    # tf/dl streams carry the same one-value-per-posting counts)
+    # tf stream carries the same one-value-per-posting counts)
     byte_ends = np.cumsum([p.size for p in d_parts])
     vcnt_cum = np.cumsum((dbytes & 0x80) == 0)
     row_val_end = vcnt_cum[byte_ends - 1]
@@ -381,26 +347,17 @@ def bulk_decode_rows(
     )
     doc_all = cs - base
 
-    tf_all = (
-        varint_decode(np.concatenate(t_parts) if m > 1 else t_parts[0])
-        .view(np.int64) if t_parts else None
-    )
-    dl_all = (
-        varint_decode(np.concatenate(l_parts) if m > 1 else l_parts[0])
-        .view(np.int64) if l_parts else None
-    )
+    tf_all = varint_decode(
+        np.concatenate(t_parts) if m > 1 else t_parts[0]
+    ).view(np.int64)
 
     for j, i in enumerate(live):
         a, b = int(row_val_start[j]), int(row_val_end[j])
-        doc = doc_all[a:b]
-        tf = tf_all[a:b] if tf_all is not None else None
-        dl = dl_all[a:b] if dl_all is not None else None
+        doc, tf = doc_all[a:b], tf_all[a:b]
         if lo is not None:
             s, e = np.searchsorted(doc, [lo, hi])
-            doc = doc[s:e]
-            tf = tf[s:e] if tf is not None else None
-            dl = dl[s:e] if dl is not None else None
-        out[i] = (doc, tf, dl)
+            doc, tf = doc[s:e], tf[s:e]
+        out[i] = (doc, tf)
     return out
 
 
@@ -500,16 +457,16 @@ def _decode_run_block(
 
 
 def _decode_segment_block(
-    tbl: pa.Table, block_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None,
-           memoryview | None, memoryview | None]:
+    tbl: pa.Table, block_size: int, norms: str, norms_lo: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, memoryview]:
     """Segment-row twin of :func:`_decode_run_block`: EVERY row's
     postings with one varint pass per stream, returned the same way.
     Doc gaps restart absolute at every row start and at every
     ``block_size``-th posting within a row (block-reset coding, see
     :func:`encode_postings`), so absolute ids are one segmented cumsum —
-    the arithmetic of :func:`bulk_decode_rows`.  A stream whose column
-    was not read (e.g. ``tfs`` for norms) comes back as ``None``."""
+    the arithmetic of :func:`bulk_decode_rows`.  Each posting's dl is
+    looked up in the norms array at path ``norms`` (base id
+    ``norms_lo``)."""
     df = tbl.column("df").to_numpy().astype(np.int64)
     dview, _ = binary_join_zero_copy(tbl.column("doc_ids"))
     gaps = varint_decode(np.frombuffer(dview, dtype=np.uint8)).view(np.int64)
@@ -521,15 +478,10 @@ def _decode_segment_block(
     base = csum[reset] - gaps[reset]
     doc = csum - np.repeat(base, np.diff(np.append(reset, gaps.size)))
 
-    def stream(name: str):
-        if name not in tbl.column_names:
-            return None, None
-        buf, _ = binary_join_zero_copy(tbl.column(name))
-        return varint_decode(np.frombuffer(buf, dtype=np.uint8)).view(np.int64), buf
-
-    tf, tbuf = stream("tfs")
-    dl, lbuf = stream("dls")
-    return df, doc, tf, dl, tbuf, lbuf
+    tbuf, _ = binary_join_zero_copy(tbl.column("tfs"))
+    tf = varint_decode(np.frombuffer(tbuf, dtype=np.uint8)).view(np.int64)
+    dl = np.load(norms, mmap_mode="r")[doc - norms_lo].astype(np.int64)
+    return df, doc, tf, dl, tbuf
 
 
 def _runs_ordered(tid_like: np.ndarray, df: np.ndarray, doc: np.ndarray) -> bool:
@@ -585,14 +537,15 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
     prefix-sum trick the tokenizer's map-side combine uses).
 
     ``decode`` turns the input block into ``(df, doc, tf, dl, tbuf,
-    lbuf)``: :func:`_decode_run_block` for tokenizer runs (the build),
-    :func:`_decode_segment_block` for segment rows (compaction)."""
+    ...)``: :func:`_decode_run_block` for tokenizer runs (the build),
+    :func:`_decode_segment_block` for segment rows (compaction).  dl
+    only feeds the per-block min dl; segments store no dl stream."""
 
     def merge_sorted_block(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0:
             return SEGMENT_SCHEMA.empty_table()
         tid = tbl.column("tid").to_numpy()
-        df, doc, tf, dl, in_tbuf, in_lbuf = decode(tbl)
+        df, doc, tf, dl, in_tbuf = decode(tbl)[:5]
         n = tid.size
         g_start_row = np.flatnonzero(np.concatenate(([True], tid[1:] != tid[:-1])))
         G = g_start_row.size
@@ -617,8 +570,8 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
         gaps[is_reset] = doc_s[is_reset].astype(np.uint64)
 
         # doc gaps change at run/block boundaries → always re-encoded;
-        # tf/dl values are order-preserved on the fast path, so their
-        # streams are the input bytes re-sliced (no encode).  Fused
+        # tf values are order-preserved on the fast path, so their
+        # stream is the input bytes re-sliced (no encode).  Fused
         # encode+bounds: one varint_nbytes pass per stream instead of
         # two (it was the merge profile's top line)
         from ..functions.codec import varint_encode_bounds
@@ -626,10 +579,8 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
         dbuf, doff = varint_encode_bounds(gaps)
         if ordered:
             tbuf, toff = in_tbuf, _enc_offsets(tf_s.astype(np.uint64))
-            lbuf, loff = in_lbuf, _enc_offsets(dl_s.astype(np.uint64))
         else:
             tbuf, toff = varint_encode_bounds(tf_s.astype(np.uint64))
-            lbuf, loff = varint_encode_bounds(dl_s.astype(np.uint64))
 
         bs_idx = np.flatnonzero(is_reset)             # global block starts
         grp_sorted = np.repeat(np.arange(G, dtype=np.int64), ppt)
@@ -642,7 +593,6 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
         blk_doc0 = doc_s[bs_idx]
         off_doc = (doff[bs_idx] - np.repeat(doff[t_start], blocks_per_t)).astype(np.uint32)
         off_tf = (toff[bs_idx] - np.repeat(toff[t_start], blocks_per_t)).astype(np.uint32)
-        off_dl = (loff[bs_idx] - np.repeat(loff[t_start], blocks_per_t)).astype(np.uint32)
         sum_tf = np.add.reduceat(tf_s, t_start).astype(np.int64)
 
         t_end = t_start + ppt
@@ -660,10 +610,6 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
                 ),
                 "tfs": pa.array(
                     [tbuf[toff[a]:toff[b]] for a, b in zip(t_start, t_end)],
-                    type=pa.binary(),
-                ),
-                "dls": pa.array(
-                    [lbuf[loff[a]:loff[b]] for a, b in zip(t_start, t_end)],
                     type=pa.binary(),
                 ),
                 "bmax_tf": pa.array(
@@ -684,10 +630,6 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
                 ),
                 "blk_off_tf": pa.array(
                     [off_tf[a:b].tobytes() for a, b in zip(b_start, b_end)],
-                    type=pa.binary(),
-                ),
-                "blk_off_dl": pa.array(
-                    [off_dl[a:b].tobytes() for a, b in zip(b_start, b_end)],
                     type=pa.binary(),
                 ),
             },
@@ -788,7 +730,7 @@ def make_merge_partial(salt_range: int):
     return merge_partial
 
 
-def make_compact_merge(block_size: int):
+def make_compact_merge(block_size: int, norms: str, norms_lo: int):
     """Whole-partition merge kernel for COMPACTION: fold each term's
     SEGMENT_SCHEMA rows (one per source group) into one row.  It is the
     build's :func:`make_merge_sorted` fed by :func:`_decode_segment_block`:
@@ -796,11 +738,15 @@ def make_compact_merge(block_size: int):
     partition, no per-term loop and no single-part special case (LEB128
     is canonical, so a lone part re-encodes to the same bytes).  Doc
     gaps are always re-blocked, since every part ends in a short block;
-    tf/dl streams byte-splice.  Input must arrive sorted by (tid, d0)
-    with tid-only partition boundaries; source groups that interleave
-    doc ranges take the kernel's lexsort fallback."""
+    the tf stream byte-splices, and the per-block min dl reads the
+    merged group's norms array (``norms``, base id ``norms_lo``).
+    Input must arrive sorted by (tid, d0) with tid-only partition
+    boundaries; source groups that interleave doc ranges take the
+    kernel's lexsort fallback."""
     merge = make_merge_sorted(
-        block_size, functools.partial(_decode_segment_block, block_size=block_size)
+        block_size,
+        functools.partial(_decode_segment_block, block_size=block_size,
+                          norms=norms, norms_lo=norms_lo),
     )
 
     # own name so the Ray Data operator reads MapBatches(compact_block),

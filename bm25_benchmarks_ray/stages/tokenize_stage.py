@@ -28,6 +28,7 @@ from ..functions.tokenizer import (
     resolve_stopwords,
     tokenize_text,
 )
+from ..state.norms import write_norms_part
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -172,6 +173,10 @@ class TokenizeRuns:
     Output schema == stages.segments.RUN_SCHEMA: downstream is one
     sort(tid) + whole-partition merge per group (runs are re-sorted by
     doc_id at merge, so input file order never matters).
+
+    Each batch also writes its (doc_id, dl) pairs under ``norms_parts``
+    as one part file — the group's norms come from this pass, not a
+    second one (state/norms.py).
     """
 
     SEEN_CAP = 4_000_000
@@ -179,11 +184,13 @@ class TokenizeRuns:
     # ACROSS builds would suppress strings a later build's merge needs
     _SEEN: dict[str, set] = {}
 
-    def __init__(self, config: IndexConfig, seen_scope: str | None = None):
+    def __init__(self, config: IndexConfig, norms_parts: str,
+                 seen_scope: str | None = None):
         import uuid
 
         self.inner = TokenizePostings(config)
         self.salt_range = config.salt_range
+        self.norms_parts = norms_parts
         # one nonce per pipeline (driver-side, shared by every task of
         # this instance); fresh instance = fresh first-sight scope,
         # exactly the old fresh-actor-pool semantics
@@ -214,6 +221,7 @@ class TokenizeRuns:
         codes_all, uniq, doc_of, doc_lens = _token_quad(
             batch.column("text"), inner
         )
+        write_norms_part(self.norms_parts, batch_doc_ids, doc_lens)
         tok_doc = batch_doc_ids[doc_of]
         tok_dl = doc_lens[doc_of].astype(np.uint64)
         # sort token occurrences by (term, doc); equal (term, doc) runs

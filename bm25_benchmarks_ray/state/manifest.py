@@ -22,7 +22,13 @@ from typing import Any
 
 MANIFEST_NAME = "manifest.json"
 # v3: per-group doc ranges (doc_lo/doc_hi) + input inventory hash
-FORMAT_VERSION = 3
+# v4: doc lengths only in each group's norms array (norms_lo per group);
+#     segment and positions rows carry no dl stream
+FORMAT_VERSION = 4
+
+
+class FormatVersionError(ValueError):
+    """The index on disk was written in another format version."""
 
 
 @dataclass
@@ -61,13 +67,18 @@ class Manifest:
 
     @classmethod
     def load(cls, index_dir: str) -> "Manifest | None":
+        """The index's manifest; None when there is none.  Raises
+        :class:`FormatVersionError` for another format version."""
         p = os.path.join(index_dir, MANIFEST_NAME)
         if not os.path.exists(p):
             return None
         with open(p) as f:
             d = json.load(f)
         if d.get("version") != FORMAT_VERSION:
-            return None
+            raise FormatVersionError(
+                f"index at {index_dir} has format version {d.get('version')}; "
+                f"this engine reads version {FORMAT_VERSION}: rebuild the index"
+            )
         return cls(
             index_dir=index_dir,
             config=d.get("config", {}),

@@ -109,3 +109,38 @@ def oracle_topk(
     scores = oracle_scores(index, query, params, stopwords=stopwords, stemmer=stemmer)
     order = np.lexsort((np.arange(index.n_docs), -scores))[:k]
     return [(index.doc_ids[i], float(scores[i])) for i in order]
+
+
+def assert_norms_match(index_dir: str, doc_ids, texts) -> None:
+    """The index's norms hold exactly each doc's kept-stream length from
+    a direct ``tokenize_text`` call with the index's analyzer.  Group
+    arrays are summed over the id space (an id that is not a doc of a
+    group holds 0 there), so the check also proves every hole and every
+    id outside the corpus reads 0."""
+    import os
+
+    from bm25_benchmarks_ray.pipelines.index_build import SEGMENTS_DIR
+    from bm25_benchmarks_ray.state.manifest import Manifest
+    from bm25_benchmarks_ray.state.norms import load_group_norms
+
+    man = Manifest.load(index_dir)
+    cfg = man.config
+    sw = resolve_stopwords(cfg["stopwords"])
+    st = resolve_stemmer(cfg["stemmer"])
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    want = np.array(
+        [len(tokenize_text(x, stopwords=sw, stemmer=st, lower=cfg["lower"]))
+         for x in texts], dtype=np.int64,
+    )
+    arrays = []
+    for g in man.done_groups():
+        lo = int(man.groups[str(g)]["norms_lo"])
+        arrays.append((lo, load_group_norms(
+            os.path.join(index_dir, SEGMENTS_DIR, f"group={g}"))))
+    top = max([int(doc_ids.max()) + 1] + [lo + a.size for lo, a in arrays])
+    got = np.zeros(top, dtype=np.int64)
+    for lo, a in arrays:
+        got[lo: lo + a.size] += a
+    expect = np.zeros(top, dtype=np.int64)
+    expect[doc_ids] = want
+    assert np.array_equal(got, expect)

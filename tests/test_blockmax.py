@@ -44,8 +44,8 @@ def test_block_bounds_dominate():
 
         s0 = nonoccurrence_shape(p)
         ubs = term_block_ubs(row, p, 50.0, s0)
-        d2, t2, l2 = decode_segment(row, 16)
-        true = tf_shape(p, t2, l2, 50.0) - s0
+        d2, t2 = decode_segment(row, 16)
+        true = tf_shape(p, t2, dl, 50.0) - s0
         for b in range(ubs.size):
             blk = true[b * 16 : (b + 1) * 16]
             assert ubs[b] >= blk.max() - 1e-12
@@ -77,22 +77,34 @@ def test_partial_block_decode_consistency():
     tf = rng.randint(1, 9, size=300).astype(np.int64)
     dl = rng.randint(5, 80, size=300).astype(np.int64)
     row = encode_postings("t", doc, tf, dl, 32)
-    full_d, full_t, full_l = decode_segment(row, 32)
+    full_d, full_t = decode_segment(row, 32)
     np.testing.assert_array_equal(full_d, doc)
     np.testing.assert_array_equal(full_t, tf)
-    np.testing.assert_array_equal(full_l, dl)
     for lo, hi in [(0, 500), (500, 5000), (9000, 20000), (3333, 3334), (0, 10001)]:
-        d, t, l = decode_segment(row, 32, lo, hi)
+        d, t = decode_segment(row, 32, lo, hi)
         mask = (doc >= lo) & (doc < hi)
         np.testing.assert_array_equal(d, doc[mask])
         np.testing.assert_array_equal(t, tf[mask])
-        np.testing.assert_array_equal(l, dl[mask])
+
+
+def _truth(rows, ws, params, avgdl, s0, doc_lens, lo, k, bs):
+    """Brute-force top-k (docs, scores): every posting scored with its
+    doc's length from the norms array."""
+    truth: dict[int, float] = {}
+    for row, w in zip(rows, ws):
+        doc, tf = decode_segment(row, bs)
+        base = tf_shape(params, tf.astype(float),
+                        doc_lens[doc - lo].astype(float), avgdl) - s0
+        for d, v in zip(doc, w * base):
+            truth[int(d)] = truth.get(int(d), 0.0) + v
+    exp = sorted(truth.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    return [d for d, _ in exp], [v for _, v in exp]
 
 
 def test_promoted_full_decode_equals_scattered():
     """A pruned term whose candidates cover >=50% of its blocks is
     promoted to a cached full decode (score_query_pruned's coverage
-    branch); results must equal the no-cache scattered path, and the
+    branch); results must equal the brute-force top-k, and the
     promoted term must land in the task cache."""
     from bm25_benchmarks_ray.functions.bm25 import nonoccurrence_shape
     from bm25_benchmarks_ray.pipelines.query import _DecodeCache
@@ -103,21 +115,19 @@ def test_promoted_full_decode_equals_scattered():
     params = BM25Params(method="lucene")
     s0 = nonoccurrence_shape(params)
     lo, hi = 0, 10_000
+    doc_lens = rng.randint(20, 120, hi - lo).astype(np.uint32)
 
     # term A: rare, high weight -- seeds the candidate set with docs
     # spread uniformly so they touch every block of term B
     doc_a = np.arange(0, 10_000, 16, dtype=np.int64)
     row_a = encode_postings(
         "a", doc_a,
-        rng.randint(3, 9, doc_a.size).astype(np.int64),
-        rng.randint(20, 120, doc_a.size).astype(np.int64), bs)
+        rng.randint(3, 9, doc_a.size).astype(np.int64), doc_lens[doc_a], bs)
     # term B: huge df, mid weight -- prunable once A fills the heap,
     # and A's candidates cover 100% of its blocks
     doc_b = np.arange(0, 10_000, 2, dtype=np.int64)
     row_b = encode_postings(
-        "b", doc_b,
-        np.ones(doc_b.size, dtype=np.int64),
-        rng.randint(20, 120, doc_b.size).astype(np.int64), bs)
+        "b", doc_b, np.ones(doc_b.size, dtype=np.int64), doc_lens[doc_b], bs)
     # term C: rare, weight just under B's -- processed AFTER B, its
     # remaining-max keeps the candidate set wide at B's turn (without
     # it the post-A cull shrinks candidates to ~k and coverage falls
@@ -125,17 +135,15 @@ def test_promoted_full_decode_equals_scattered():
     doc_c = np.arange(0, 10_000, 500, dtype=np.int64)
     row_c = encode_postings(
         "c", doc_c,
-        rng.randint(3, 9, doc_c.size).astype(np.int64),
-        rng.randint(20, 120, doc_c.size).astype(np.int64), bs)
+        rng.randint(3, 9, doc_c.size).astype(np.int64), doc_lens[doc_c], bs)
     rows, ws = [row_a, row_b, row_c], [10.0, 3.65, 2.1]
 
-    cache = _DecodeCache(bs, lo, hi, params, avgdl, s0)
-    d1, s1 = score_query_pruned(rows, ws, params, avgdl, k, bs, lo, hi,
-                                0.0, full_decode=cache)
-    d2, s2 = score_query_pruned(rows, ws, params, avgdl, k, bs, lo, hi,
-                                0.0, full_decode=None)
+    cache = _DecodeCache(bs, lo, hi, params, avgdl, s0, (doc_lens, lo))
+    d1, s1 = score_query_pruned(rows, ws, params, avgdl, k, bs, 0.0,
+                                full_decode=cache)
+    d2, s2 = _truth(rows, ws, params, avgdl, s0, doc_lens, lo, k, bs)
     np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_allclose(s1, s2, atol=1e-12)
+    np.testing.assert_allclose(s1, s2, atol=1e-9)
     # the promotion is what cached term B without an explicit decode
     assert cache.cached(row_b)
 
@@ -143,8 +151,8 @@ def test_promoted_full_decode_equals_scattered():
 def test_pruned_nonzero_lo_slice():
     """Pruned scoring on a slice whose doc-id range starts far from
     zero — every non-first group of a multi-group index — must return
-    the same absolute ids and scores as the no-cache path and the
-    brute-force per-doc truth."""
+    the same absolute ids and scores as the brute-force per-doc truth,
+    with each doc's dl read at its offset in the norms array."""
     from bm25_benchmarks_ray.functions.bm25 import nonoccurrence_shape
     from bm25_benchmarks_ray.pipelines.query import _DecodeCache
     from bm25_benchmarks_ray.stages.blockmax import score_query_pruned
@@ -154,26 +162,19 @@ def test_pruned_nonzero_lo_slice():
     params = BM25Params(method="lucene")
     s0 = nonoccurrence_shape(params)
     lo, hi = 7_000_000, 7_010_000
+    doc_lens = rng.randint(20, 120, hi - lo).astype(np.uint32)
 
-    rows, ws, truth = [], [], {}
+    rows, ws = [], []
     for name, step, w in (("a", 16, 10.0), ("b", 2, 3.65), ("c", 500, 2.1)):
         doc = np.arange(lo, hi, step, dtype=np.int64)
         tf = rng.randint(1, 9, doc.size).astype(np.int64)
-        dl = rng.randint(20, 120, doc.size).astype(np.int64)
-        rows.append(encode_postings(name, doc, tf, dl, bs))
+        rows.append(encode_postings(name, doc, tf, doc_lens[doc - lo], bs))
         ws.append(w)
-        base = tf_shape(params, tf.astype(float), dl.astype(float), avgdl) - s0
-        for d, v in zip(doc, w * base):
-            truth[int(d)] = truth.get(int(d), 0.0) + v
 
-    cache = _DecodeCache(bs, lo, hi, params, avgdl, s0)
-    d1, s1 = score_query_pruned(rows, ws, params, avgdl, k, bs, lo, hi,
-                                0.0, full_decode=cache)
-    d2, s2 = score_query_pruned(rows, ws, params, avgdl, k, bs, lo, hi,
-                                0.0, full_decode=None)
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_allclose(s1, s2, atol=1e-12)
+    cache = _DecodeCache(bs, lo, hi, params, avgdl, s0, (doc_lens, lo))
+    d1, s1 = score_query_pruned(rows, ws, params, avgdl, k, bs, 0.0,
+                                full_decode=cache)
     assert d1.dtype == np.int64 and d1.min() >= lo and d1.max() < hi
-    exp = sorted(truth.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-    np.testing.assert_array_equal(d1, [d for d, _ in exp])
-    np.testing.assert_allclose(s1, [v for _, v in exp], atol=1e-9)
+    d2, s2 = _truth(rows, ws, params, avgdl, s0, doc_lens, lo, k, bs)
+    np.testing.assert_array_equal(d1, d2)
+    np.testing.assert_allclose(s1, s2, atol=1e-9)

@@ -21,6 +21,7 @@ from bm25_benchmarks_ray.pipelines.index_build import (
 )
 from bm25_benchmarks_ray.pipelines.query import search
 from bm25_benchmarks_ray.stages.segments import SEGMENT_SCHEMA
+from tests.oracle import assert_norms_match
 
 SRC = "/root/testdata/sf0.001/documents.parquet"
 QUERIES = [
@@ -99,6 +100,9 @@ def test_append_then_compact(ray_session, tmp_path):
     assert _topk(idx)[["qid", "doc_id", "rank"]].equals(
         before[["qid", "doc_id", "rank"]]
     )
+    # contiguous compaction: the sources' arrays placed end to end
+    assert man.groups["0"]["norms_lo"] == 0
+    assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())
 
 
 def _holed_compacted_index(tmp_path):
@@ -118,6 +122,70 @@ def _holed_compacted_index(tmp_path):
     build_index(a, idx, IndexConfig(), mode="documents", fresh=True)
     append_index(b, idx, IndexConfig())
     return idx, compact_index(idx)
+
+
+def _holed_docs():
+    import pyarrow as pa
+
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    ids = np.concatenate([np.arange(200), np.arange(1000, 1200)])
+    return pa.table({"doc_id": ids,
+                     "text": t.column("text").slice(0, 400).combine_chunks()})
+
+
+def test_holed_compaction_norms(ray_session, tmp_path):
+    """The holed group's norms span its bounding range [0, 1200) with
+    zeros in the hole, and no file of the folded group 1 survives."""
+    from bm25_benchmarks_ray.state.norms import NORMS_FILE
+
+    idx, man = _holed_compacted_index(tmp_path)
+    assert man.done_groups() == [0] and man.groups["0"]["norms_lo"] == 0
+    arr = np.load(os.path.join(idx, "segments", "group=0", NORMS_FILE))
+    assert arr.size == 1200 and not arr[200:1000].any()
+    docs = _holed_docs()
+    assert_norms_match(idx, docs.column("doc_id"), docs.column("text").to_pylist())
+    assert sorted(os.listdir(os.path.join(idx, "segments"))) == ["group=0"]
+
+
+def test_holed_empty_result_keeps_columns(ray_session, tmp_path):
+    """A query that matches nothing on an index without padding returns
+    zero rows that still carry the result columns."""
+    idx, _ = _holed_compacted_index(tmp_path)
+    df = search(idx, [("q0", "zzzqqq nonexistentterm")]).to_pandas()
+    assert len(df) == 0
+    assert list(df.columns) == ["qid", "doc_id", "rank", "score"]
+    assert df["qid"].tolist() == []
+
+
+def test_holed_compaction_ranks_as_union_build(ray_session, tmp_path):
+    """search(), BM25Server and the re-tokenize phrase path over the
+    holed compacted index rank exactly as a fresh build of the union."""
+    from bm25_benchmarks_ray.pipelines.phrase import phrase_topk
+    from bm25_benchmarks_ray.pipelines.serve import BM25Server
+
+    idx, _ = _holed_compacted_index(tmp_path)
+    docs = _holed_docs()
+    dpath = str(tmp_path / "union_docs.parquet")
+    pq.write_table(docs, dpath)
+    union = str(tmp_path / "union_idx")
+    build_index(dpath, union, IndexConfig(), mode="documents", n_groups=1,
+                fresh=True)
+    qs = MATCHING + [("q3", "table query join scan")]
+    key = ["qid", "rank"]
+
+    def ranked(df):
+        return df.sort_values(key).reset_index(drop=True)[["qid", "doc_id", "rank"]]
+
+    for k in (10, 60):
+        a = ranked(search(idx, qs, k=k, join_back=False).to_pandas())
+        b = ranked(search(union, qs, k=k, join_back=False).to_pandas())
+        assert a.equals(b) and len(a) > 0
+        with BM25Server(idx, join_back=False) as srv:
+            assert ranked(srv.search(qs, k=k)).equals(b)
+    pa_ = phrase_topk(idx, dpath, [("p0", "scan window")], positions="off")
+    pb = phrase_topk(union, dpath, [("p0", "scan window")], positions="off")
+    assert pa_.num_rows > 0
+    assert pa_.column("doc_id").to_pylist() == pb.column("doc_id").to_pylist()
 
 
 def test_compact_preserves_overlap_validation(ray_session, tmp_path):
@@ -207,8 +275,8 @@ def test_append_compact_byte_identical_to_union_build(ray_session, tmp_path):
     got, want = _segment_rows(idx), _segment_rows(union)
     assert got.column("df").to_numpy().max() > 3 * 8  # multi-block rows
     assert got.equals(want)
-    a = np.load(os.path.join(idx, "norms", "group=0.npy"))
-    b = np.load(os.path.join(union, "norms", "group=0.npy"))
+    a = np.load(os.path.join(idx, "segments", "group=0", "_norms.npy"))
+    b = np.load(os.path.join(union, "segments", "group=0", "_norms.npy"))
     assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -231,3 +299,5 @@ def test_compact_interleaved_doc_ids(ray_session, tmp_path):
     assert before[["qid", "doc_id", "rank"]].equals(after[["qid", "doc_id", "rank"]])
     assert (before.score - after.score).abs().max() < 1e-9
     assert _segment_rows(idx).equals(_segment_rows(_fresh_union(t, tmp_path, cfg)))
+    # interleaved sources: each parity's array holds 0 at the other's ids
+    assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())

@@ -15,6 +15,9 @@ from bm25_benchmarks_ray.functions.bm25 import (
 from bm25_benchmarks_ray.pipelines import query as Q
 from bm25_benchmarks_ray.stages.segments import encode_postings
 
+# one dl per doc id, as the group's norms array holds it
+DOC_LENS = np.random.RandomState(0).randint(5, 120, size=1000).astype(np.uint32)
+
 
 def _make_rows(n_docs: int, n_terms: int, seed: int, block_size: int = 32):
     rng = np.random.RandomState(seed)
@@ -25,7 +28,7 @@ def _make_rows(n_docs: int, n_terms: int, seed: int, block_size: int = 32):
             rng.choice(n_docs, size=min(size, n_docs), replace=False)
         ).astype(np.int64)
         tf = rng.randint(1, 12, size=doc.size).astype(np.int64)
-        dl = rng.randint(5, 120, size=doc.size).astype(np.int64)
+        dl = DOC_LENS[doc].astype(np.int64)
         # rows_by_term maps term -> list of segment-row parts
         rows[f"t{t}"] = [encode_postings(f"t{t}", doc, tf, dl, block_size)]
     return rows
@@ -34,7 +37,7 @@ def _make_rows(n_docs: int, n_terms: int, seed: int, block_size: int = 32):
 def _run(plan, rows, params, k, lo, hi, prune, dense_pad, block_size=32):
     s0 = nonoccurrence_shape(params)
     avgdl = 50.0
-    cache = Q._DecodeCache(block_size, lo, hi, params, avgdl, s0)
+    cache = Q._DecodeCache(block_size, lo, hi, params, avgdl, s0, (DOC_LENS, 0))
     qi, doc, score = Q.score_range(
         plan, rows, params, avgdl, k, block_size, lo, hi,
         0, len(plan["qconst"]), prune, dense_pad, cache,

@@ -82,8 +82,8 @@ def test_positions_roundtrip_against_tokenizer(poscorpus):
             m = positions_for_terms(gd, [term])
             if term not in m:
                 continue
-            docs, dls, counts, pos = m[term]
-            assert docs.size == counts.size == dls.size
+            docs, counts, pos = m[term]
+            assert docs.size == counts.size
             assert int(counts.sum()) == pos.size
             got += list(zip(np.repeat(docs, counts).tolist(), pos.tolist()))
         assert sorted(got) == sorted(expected.get(term, [])), term
@@ -244,15 +244,12 @@ def test_decode_position_row_unit():
 
     docs = np.array([5, 9, 40], dtype=np.uint64)
     gaps = np.array([5, 4, 31], dtype=np.uint64)
-    dls = np.array([7, 3, 12], dtype=np.uint64)
     counts = np.array([2, 1, 3], dtype=np.uint64)
     # positions: doc5 -> [1, 6]; doc9 -> [0]; doc40 -> [2, 3, 11]
     pos_deltas = np.array([1, 5, 0, 2, 1, 8], dtype=np.uint64)
-    d, l, c, p = decode_position_row(
-        varint_encode(gaps), varint_encode(dls),
-        varint_encode(counts), varint_encode(pos_deltas),
+    d, c, p = decode_position_row(
+        varint_encode(gaps), varint_encode(counts), varint_encode(pos_deltas),
     )
     assert list(d) == [5, 9, 40]
-    assert list(l) == [7, 3, 12]
     assert list(c) == [2, 1, 3]
     assert list(p) == [1, 6, 0, 2, 3, 11]

@@ -57,12 +57,11 @@ def test_segment_range_decode(docset, bs):
     tf = rng.randint(1, 50, size=doc.size).astype(np.int64)
     dl = rng.randint(1, 300, size=doc.size).astype(np.int64)
     row = encode_postings("t", doc, tf, dl, bs)
-    d, t, l = decode_segment(row, bs)
-    assert d.tolist() == doc.tolist()
-    assert t.tolist() == tf.tolist() and l.tolist() == dl.tolist()
+    d, t = decode_segment(row, bs)
+    assert d.tolist() == doc.tolist() and t.tolist() == tf.tolist()
     lo = int(doc[doc.size // 3])
     hi = int(doc[2 * doc.size // 3]) + 1
-    d2, t2, l2 = decode_segment(row, bs, lo, hi)
+    d2, t2 = decode_segment(row, bs, lo, hi)
     mask = (doc >= lo) & (doc < hi)
     assert d2.tolist() == doc[mask].tolist()
     assert t2.tolist() == tf[mask].tolist()

@@ -25,6 +25,8 @@ from bm25_benchmarks_ray.stages.segments import (
 )
 
 BS = 16
+# one dl per doc id, as the group's norms array holds it
+DOC_LENS = np.random.RandomState(0).randint(5, 90, size=1000).astype(np.uint32)
 
 
 def _postings(n_docs: int, seed: int):
@@ -33,13 +35,12 @@ def _postings(n_docs: int, seed: int):
         rng.choice(n_docs, size=n_docs // 2, replace=False)
     ).astype(np.int64)
     tf = rng.randint(1, 9, size=doc.size).astype(np.int64)
-    dl = rng.randint(5, 90, size=doc.size).astype(np.int64)
-    return doc, tf, dl
+    return doc, tf, DOC_LENS[doc].astype(np.int64)
 
 
 def _run(plan, rows, params, k, n_docs, prune, dense_pad):
     cache = Q._DecodeCache(
-        BS, 0, n_docs, params, 40.0, nonoccurrence_shape(params)
+        BS, 0, n_docs, params, 40.0, nonoccurrence_shape(params), (DOC_LENS, 0)
     )
     qi, doc, score = Q.score_range(
         plan, rows, params, 40.0, k, BS, 0, n_docs,
