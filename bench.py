@@ -93,7 +93,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_queries: int = 200, lat_sample: int 
         # warm-up: pay worker-process import/JIT cost outside the timed
         # region, mirroring the reference's scorer warm-up
         # (/root/reference/benchmark/on_bm25s.py:144-154,175-177)
-        search(idx, queries, params=params, k=10).count()
+        search(idx, queries, params=params, k=10).num_rows
 
         # best-of-3 per query phase: this shared VM's throughput swings
         # >2x between adjacent minutes (BASELINE.md variance caveat);
@@ -109,7 +109,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_queries: int = 200, lat_sample: int 
             return best, n
 
         timings["query"], n_res = timed(
-            lambda: search(idx, queries, params=params, k=10).count()
+            lambda: search(idx, queries, params=params, k=10).num_rows
         )
         n_res_1k = 0
         if not quick:
@@ -117,7 +117,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_queries: int = 200, lat_sample: int 
             # (/root/reference/README.md:81) — candidate sets and
             # partial-row volume behave very differently than k=10
             timings["query_k1000"], n_res_1k = timed(
-                lambda: search(idx, queries, params=params, k=1000).count()
+                lambda: search(idx, queries, params=params, k=1000).num_rows
             )
 
         lats = served = np.array([float("nan")])
@@ -125,7 +125,7 @@ def run_bench(sf_dir: str, num_cpus: int, n_queries: int = 200, lat_sample: int 
             lats = []
             for q in queries[:lat_sample]:
                 t0 = time.perf_counter()
-                search(idx, [q], params=params, k=10).count()
+                search(idx, [q], params=params, k=10).num_rows
                 lats.append(time.perf_counter() - t0)
             lats = np.array(lats)
 
@@ -414,7 +414,7 @@ def run_ext_bench(docs_sf: float = 1.0, n_events: int = 10_000_000) -> dict:
     )
     sh = allowed_shards(ids, nd, ranges)
     t1 = time.perf_counter()
-    _search(pidx, qtexts, k=10, allowed=sh, join_back=False).count()
+    _search(pidx, qtexts, k=10, allowed=sh, join_back=False).num_rows
     t2 = time.perf_counter()
     # shards + search together, comparable with r1-r5; then each alone
     out["filtered_qps"] = round(len(qtexts) / (t2 - t0), 1)

@@ -3,12 +3,15 @@
 Filtered retrieval ("top-k among documents WHERE <predicate>") is the
 metadata-filter primitive every production search stack layers on BM25
 (Lucene's filter clauses, PISA/ES filtered queries).  The engine-side
-contract is one packed uint8 bitmap over [0, num_docs) — bit d
-(little-endian within the byte: byte ``d >> 3``, bit ``d & 7``) set
-iff doc d is eligible.  ``pipelines.query.search(allowed=...)``
-publishes it per group (``BitmapShards`` below), and every scoring
-task unpacks ONLY its own doc-range slice (``hi - lo`` bits), so
-per-task cost is range/8 bytes of read + one vectorized mask.
+contract is one packed uint8 bitmap over the index's doc-id space
+[0, id_bound) — bit d (little-endian within the byte: byte ``d >> 3``,
+bit ``d & 7``) set iff doc d is eligible.  ``id_bound`` is
+``query.Index.id_bound``: num_docs, unless a documents index records
+ids past it (holes, or ids that start past 0).
+``pipelines.query.search(allowed=...)`` publishes it per group
+(``BitmapShards`` below), and every scoring task unpacks ONLY its own
+doc-range slice (``hi - lo`` bits), so per-task cost is range/8 bytes
+of read + one vectorized mask.
 
 Collection statistics (N, df, avgdl) deliberately stay those of the
 FULL corpus — the Lucene/ES filtered-query semantics: a filter narrows
@@ -98,7 +101,7 @@ class BitmapShards:
     doc_hi: np.ndarray
     byte_lo: np.ndarray  # == doc_lo >> 3
     refs: list
-    num_docs: int
+    id_bound: int        # the doc-id space [0, id_bound) the shards cut
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def shard_index(self, lo: int, hi: int) -> int:
@@ -124,14 +127,14 @@ class BitmapShards:
 
     @classmethod
     def from_slices(cls, ranges: list[tuple[int, int]], slices,
-                    num_docs: int) -> "BitmapShards":
+                    id_bound: int) -> "BitmapShards":
         """``ranges``: sorted disjoint (doc_lo, doc_hi) per group;
         ``slices``: matching uint8 byte arrays, ``ray.put`` here."""
         lo = np.asarray([r[0] for r in ranges], dtype=np.int64)
         hi = np.asarray([r[1] for r in ranges], dtype=np.int64)
         refs = [ray.put(np.ascontiguousarray(s, dtype=np.uint8))
                 for s in slices]
-        return cls(lo, hi, lo >> 3, refs, int(num_docs))
+        return cls(lo, hi, lo >> 3, refs, int(id_bound))
 
 
 def shard_byte_span(doc_lo: int, doc_hi: int) -> tuple[int, int]:
@@ -140,7 +143,7 @@ def shard_byte_span(doc_lo: int, doc_hi: int) -> tuple[int, int]:
 
 def compose_shards(
     ranges: list[tuple[int, int]],
-    num_docs: int,
+    id_bound: int,
     user: "np.ndarray | BitmapShards | None" = None,
     deleted_ids: np.ndarray | None = None,
 ) -> BitmapShards:
@@ -151,20 +154,21 @@ def compose_shards(
     a full bitmap, or a fetch of the user's own shard — default
     all-ones; clear ``deleted_ids`` (tombstones) bits; ``ray.put``.
     Bits outside a group's doc range (boundary-byte padding) are never
-    read, so they are left as-is.
+    read, so they are left as-is.  A user mask must span the index's
+    doc-id space [0, id_bound).
     """
     if isinstance(user, BitmapShards):
-        if user.num_docs != num_docs:
+        if user.id_bound != id_bound:
             raise ValueError(
-                f"allowed shards cover num_docs={user.num_docs}, "
-                f"index has {num_docs}"
+                f"allowed shards cover doc ids [0, {user.id_bound}), "
+                f"need [0, {id_bound})"
             )
     elif user is not None:
         user = np.ascontiguousarray(user, dtype=np.uint8)
-        if user.size != bitmap_nbytes(num_docs):
+        if user.size != bitmap_nbytes(id_bound):
             raise ValueError(
                 f"allowed bitmap is {user.size} bytes, need "
-                f"{bitmap_nbytes(num_docs)} for num_docs={num_docs}"
+                f"{bitmap_nbytes(id_bound)} for doc ids [0, {id_bound})"
             )
     ranges = sorted(ranges)
     # sorted once: each group's ids are one searchsorted span
@@ -192,12 +196,12 @@ def compose_shards(
                         np.uint8(1) << (d & 7).astype(np.uint8)),
                 )
         out.append(buf)
-    return BitmapShards.from_slices(ranges, out, num_docs)
+    return BitmapShards.from_slices(ranges, out, id_bound)
 
 
 def allowed_shards(
     ids: rd.Dataset,
-    num_docs: int,
+    id_bound: int,
     ranges: list[tuple[int, int]],
     id_col: str = "doc_id",
 ) -> BitmapShards:
@@ -207,9 +211,10 @@ def allowed_shards(
     ``byte_lo`` (an all-to-all over bitmap-sized data, once), and the
     driver streams it in byte order, OR-ing into the current group's
     slice and ``ray.put``-flushing each group the moment the stream
-    passes its last byte — peak driver memory is one group's slice."""
+    passes its last byte — peak driver memory is one group's slice.
+    ``id_bound``: the index's ``Index.id_bound``."""
     ranges = sorted(ranges)
-    packed = _pack_chunks(ids, num_docs, id_col).sort("byte_lo")
+    packed = _pack_chunks(ids, id_bound, id_col).sort("byte_lo")
 
     lo_a = np.asarray([r[0] for r in ranges], dtype=np.int64)
     hi_a = np.asarray([r[1] for r in ranges], dtype=np.int64)
@@ -249,7 +254,7 @@ def allowed_shards(
             b0, b1 = shard_byte_span(*ranges[g])
             r = ray.put(np.zeros(b1 - b0, dtype=np.uint8))
         out_refs.append(r)
-    return BitmapShards(lo_a, hi_a, lo_a >> 3, out_refs, int(num_docs))
+    return BitmapShards(lo_a, hi_a, lo_a >> 3, out_refs, int(id_bound))
 
 
 def _pack_chunks(ids: rd.Dataset, num_docs: int, id_col: str) -> rd.Dataset:

@@ -676,11 +676,10 @@ def _masked_topk(
     (qid, score desc, doc_id asc)."""
     if not jobs:
         return _BOOL_SCHEMA.empty_table()
-    res = search(
+    tbl = search(
         index, [(q, t) for q, t, _ in jobs], params=params, k=k,
         join_back=False, allowed=[bm for _, _, bm in jobs],
     )
-    tbl = pa.concat_tables(ray.get(res.to_arrow_refs()))
     tbl = pa.table({
         "qid": tbl.column("qid"), "doc_id": tbl.column("doc_id"),
         "score": np.round(tbl.column("score").to_numpy(), 6),
@@ -753,7 +752,7 @@ def bool_query_topk(
     composition."""
     params = params or BM25Params()
     index = Index.open(index_dir, cfg)
-    num_docs, toks = index.num_docs, index.analyze
+    id_bound, toks = index.id_bound, index.analyze
 
     # one batched scan for every query's must-AND and must_not-OR
     # bitmaps (shared per-term decodes across the whole spec set)
@@ -772,13 +771,13 @@ def bool_query_topk(
     # one shared all-docs object: queries with no must clause publish
     # one composed mask between them
     all_docs = invert_bitmap(
-        np.zeros(bitmap_nbytes(num_docs), dtype=np.uint8), num_docs
+        np.zeros(bitmap_nbytes(id_bound), dtype=np.uint8), id_bound
     )
     jobs: list[tuple[str, str, np.ndarray]] = []
     for qid, must, should, must_not in specs:
         bm = bms[f"m:{qid}"] if m_of[qid] else all_docs
         if n_of[qid]:
-            bm = bm & invert_bitmap(bms[f"n:{qid}"], num_docs)
+            bm = bm & invert_bitmap(bms[f"n:{qid}"], id_bound)
         score_text = (must + " " + should).strip()
         # no eligible doc, or nothing to rank by (must and should all
         # stopword/OOV)

@@ -25,7 +25,8 @@ single-process ``model.retrieve`` cannot express,
    normalization (the reference's argpartition tie order is
    unspecified, on_rank_bm25.py:32).  Driver merge memory is one query
    batch's partials at any query count; the per-batch results
-   concatenate in query order.
+   concatenate in query order, and that one Arrow table is the result
+   (no Ray Data dataset wraps it).
 
 ``serve.BM25Server`` shares this driver side — the ``Index`` handle,
 ``_query_plan``, ``_merge_partials_local`` and ``finish_results`` — and
@@ -61,8 +62,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
-import ray.data as rd
-from ray.data.dataset import MaterializedDataset
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, nonoccurrence_shape, tf_shape
@@ -424,8 +423,8 @@ SHARED_DECODE_C = 25_000
 # decode policy): near-certain to be fully decoded anyway, and priming
 # replaces their per-term decode calls with fused chunk passes.
 PRIME_SINGLE_DF = 8000
-# Target queries per scatter batch on the pruned path (see search()):
-# fixes total work independent of cluster width.
+# Most queries per scatter batch (see _scatter_shape): fixes total work
+# independent of cluster width and bounds one q-batch's partials.
 QBATCH_TARGET = 512
 
 
@@ -1055,25 +1054,13 @@ class Index:
         from .docfilter import compose_shards
 
         return compose_shards(
-            sorted(self.ranges.values()), self.num_docs, deleted_ids=self.deleted
+            sorted(self.ranges.values()), self.id_bound, deleted_ids=self.deleted
         )
 
     @cached_property
     def offsets(self) -> pd.DataFrame | None:
         """The doc_id → (conv_id, turn_idx) join-back table (transcripts)."""
         return load_offsets(self.index_dir)
-
-
-class _Results(MaterializedDataset):
-    """search()'s result: one in-memory Arrow table.  Ray Data's
-    ``to_pandas()`` of a zero-row dataset has no columns; this one keeps
-    the result schema, so ``df["qid"]`` works on an empty result too."""
-
-    def to_pandas(self, limit: int | None = None) -> pd.DataFrame:
-        df = super().to_pandas(limit)
-        if df.columns.empty:
-            df = self.schema().base_schema.empty_table().to_pandas()
-        return df
 
 
 def _join_back(tbl: pa.Table, offsets: pd.DataFrame) -> pa.Table:
@@ -1120,9 +1107,52 @@ def compose_masks(index: Index, allowed: list) -> tuple[list, np.ndarray] | None
         if id(a) not in set_of:
             set_of[id(a)] = len(sets)
             sets.append(index.live_shards if a is None else compose_shards(
-                ranges, index.num_docs, user=a, deleted_ids=deleted))
+                ranges, index.id_bound, user=a, deleted_ids=deleted))
         mask_of[qi] = set_of[id(a)]
     return sets, mask_of
+
+
+def _scatter_shape(
+    n_q: int, k: int, n_groups: int, docs_per_group: int, cpus: int
+) -> tuple[int, int]:
+    """(query batches, doc slices per group) for a ``search()`` call of
+    ``n_q`` queries at top-``k`` over ``n_groups`` groups on ``cpus``
+    CPUs; one task per (group, slice, q-batch).
+
+    With several CPUs: about 3 waves of tasks per CPU.  Q-batches are
+    skewed (a batch whose queries hit hot terms decodes far more
+    postings), and three waves pack around the stragglers.  Measured on
+    pinned cores, sf8, 8000 queries: 16 CPUs k=10 — 24 tasks/1.5 waves
+    389 qps, 48/3 waves 500, 96/6 waves 434 (per-task term-read
+    duplication takes over below ~300 queries/batch); k=1000 — 65 / 119
+    / 96 qps same order; 4 CPUs k=10 — 2 waves 142, 3 waves 155, 6
+    waves 130.  With one CPU there is one slot and no straggler to pack
+    around: tasks run one after another, and every extra task only
+    repeats its term read, the decode of terms its queries share, and a
+    dispatch — so one task per group (per full q-batch)."""
+    n_groups = max(1, n_groups)
+    per_group = 1 if cpus <= 1 else -(-3 * cpus // n_groups)
+    # Parallelism comes from groups × query-batches × doc-slices, filled
+    # in that order: query batching is free (no duplicated decode, no
+    # per-slice python overhead), doc-slicing is the fallback for small
+    # query sets so single-query latency still fans out.
+    #
+    # Q-batches are sized by the DATA (≤ QBATCH_TARGET queries each),
+    # never by cluster width alone: each batch re-reads and re-decodes
+    # its hot terms, so width-coupled batch counts would make total work
+    # grow with the cluster; width only shrinks batches when the job
+    # would otherwise idle cores (small query sets).  Below that floor
+    # keep ≥ 16 queries per batch on the pruned path (per-query python
+    # overhead in the pruned scorer dominates below it) and ≥ 8 on the
+    # dense path, whose measured optimum is all q-batches, no slicing
+    # (sf8/32cpu k=1000: qb16×sl1 68 qps vs auto-12×2 61 vs 1×16 12).
+    min_q = 8 if k >= DENSE_K_CUTOFF else 16
+    n_qbatch = max(-(-n_q // QBATCH_TARGET),
+                   min(per_group, max(1, n_q // min_q)))
+    # per-task read volume is the q-batch's term blobs, paid once per
+    # doc slice; a slice under ~64k docs is pure task overhead
+    n_slices = max(1, -(-per_group // n_qbatch))
+    return n_qbatch, min(n_slices, max(1, docs_per_group // 65536))
 
 
 def search(
@@ -1137,7 +1167,7 @@ def search(
     n_qbatch: int | None = None,
     n_slices: int | None = None,
     allowed: np.ndarray | BitmapShards | list | None = None,
-) -> rd.Dataset:
+) -> pa.Table:
     """Retrieve top-k (qid, doc_id, rank, score) for every query.
 
     ``index`` is an index directory (opened here, with ``cfg`` and
@@ -1147,7 +1177,10 @@ def search(
     scores against the ``ray.put`` plan; the driver gathers and merges
     the partial top-k tables one query batch at a time, then adds the
     rows for unscored queries and the join-back (``finish_results``).
-    The result is a Dataset over that one Arrow table.
+    The result is that one Arrow table (``RESULT_SCHEMA``, plus
+    ``conv_id``/``turn_idx`` when joined back), zero-row ones included.
+    ``_scatter_shape`` sizes the scatter from Ray's CPU count unless
+    ``n_qbatch`` / ``n_slices`` fix it.
 
     ``groups`` restricts the search to a subset of index groups — the
     partial-index load path (the reference's mmap/query-only scripts
@@ -1158,7 +1191,7 @@ def search(
     zero-scored, they are out of scope.
 
     ``allowed`` — filtered retrieval: a packed uint8 bitmap over
-    [0, num_docs) OR a pre-published ``docfilter.BitmapShards``
+    [0, ``Index.id_bound``) OR a pre-published ``docfilter.BitmapShards``
     restricting results to the set bits, or a list aligned with
     ``queries`` holding one such mask per query (a Q-query boolean
     batch is one call).  Collection stats (N, df, avgdl) stay
@@ -1195,53 +1228,12 @@ def search(
         plan["allowed_shards"], plan["mask_of"] = masks
     plan_ref = ray.put(plan)
 
-    # 3x CPU slots of tasks (~3 waves): q-batches are skewed (a batch
-    # whose queries hit hot terms decodes far more postings), and three
-    # waves pack around the stragglers.  Measured on pinned cores, sf8,
-    # 8000 queries: 16 CPUs k=10 — 24 tasks/1.5 waves 389 qps, 48/3
-    # waves 500, 96/6 waves 434 (per-task term-read duplication takes
-    # over below ~300 queries/batch); k=1000 — 65 / 119 / 96 qps same
-    # order; 4 CPUs k=10 — 2 waves 142, 3 waves 155, 6 waves 130.
-    target_tasks = 96
-    if ray.is_initialized():
-        target_tasks = max(8, int(ray.cluster_resources().get("CPU", 32) * 3))
-    # Parallelism comes from groups × query-batches × doc-slices, filled
-    # in that order: query batching is free (no duplicated decode, no
-    # per-slice python overhead), doc-slicing is the fallback for small
-    # query sets so single-query latency still fans out.
     n_q = len(plan["qids"])
-    per_group = max(1, -(-target_tasks // max(1, len(gids))))
-    if n_qbatch is None:
-        # Per-task read volume is the q-batch's term blobs and is paid
-        # once per doc-slice, so total parquet bytes scale with
-        # n_slices while q-batching *divides* them.  At large k (dense
-        # path) the measured optimum is all-q-batches/no-slicing
-        # (sf8/32cpu k=1000: qb16×sl1 68 qps vs auto-12×2 61 vs 1×16
-        # 12 qps) — allow batches down to 8 queries there; at small k
-        # keep ≥16 queries per batch (per-query python overhead in the
-        # pruned scorer dominates below that).
-        min_q = 8 if k >= DENSE_K_CUTOFF else 16
-        if k >= DENSE_K_CUTOFF:
-            n_qbatch = min(per_group, max(1, n_q // min_q))
-        else:
-            # pruned path: batch size is sized by the DATA (~QBATCH
-            # queries/batch), never by cluster width — per-batch work
-            # duplication (each batch re-reads and re-decodes its hot
-            # terms) means width-coupled batch counts make total work
-            # grow with the cluster, a built-in sublinear-scaling
-            # anti-pattern (a small cluster would silently get an
-            # algorithmic advantage a 10^12-doc deployment lacks).
-            # Width only shrinks batches when the job would otherwise
-            # idle cores (small query sets).
-            n_qbatch = max(1, -(-n_q // QBATCH_TARGET))
-            if n_qbatch < per_group:
-                n_qbatch = min(per_group, max(n_qbatch, max(1, n_q // min_q)))
-    if n_slices is None:
-        n_slices = max(1, -(-per_group // n_qbatch))
-        # don't shred small corpora into confetti: a slice under ~64k
-        # docs is pure task overhead (single-query latency at small sf)
-        per_group_docs = max(1, num_docs // max(1, len(gids)))
-        n_slices = min(n_slices, max(1, per_group_docs // 65536))
+    auto_qb, auto_sl = _scatter_shape(
+        n_q, k, len(gids), num_docs // max(1, len(gids)),
+        int(ray.cluster_resources().get("CPU", 1)),
+    )
+    n_qbatch, n_slices = n_qbatch or auto_qb, n_slices or auto_sl
     q_bounds = np.linspace(0, n_q, n_qbatch + 1).astype(np.int64)
     slices = []
     for g in gids:
@@ -1278,6 +1270,4 @@ def search(
         )
         for qb_refs in refs
     ])
-    out = rd.from_arrow(finish_results(merged, plan, k, index, offsets))
-    out.__class__ = _Results
-    return out
+    return finish_results(merged, plan, k, index, offsets)

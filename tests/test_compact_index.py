@@ -207,7 +207,7 @@ def test_compact_preserves_overlap_validation(ray_session, tmp_path):
     # the rejected append left the index finalized and queryable
     man2 = Manifest.load(idx)
     assert man2.is_complete() and "finalize" in man2.stages
-    assert search(idx, MATCHING).count() > 0
+    assert search(idx, MATCHING).num_rows > 0
 
 
 def test_masked_search_needs_group_ranges(ray_session, tmp_path):
@@ -220,7 +220,7 @@ def test_masked_search_needs_group_ranges(ray_session, tmp_path):
     bm = bitmap_from_ids(np.arange(0, n, 2), n)
     with pytest.raises(ValueError, match="contiguous per-group doc ranges"):
         search(idx, QUERIES, allowed=bm)
-    assert search(idx, MATCHING).count() > 0  # unmasked search serves it
+    assert search(idx, MATCHING).num_rows > 0  # unmasked search serves it
 
 
 def test_holed_index_pads_no_invented_ids(ray_session, tmp_path):
@@ -230,7 +230,7 @@ def test_holed_index_pads_no_invented_ids(ray_session, tmp_path):
     not documents."""
     idx, _ = _holed_compacted_index(tmp_path)
     ids = set(range(200)) | set(range(1000, 1200))
-    assert search(idx, QUERIES, k=250).count() == 0  # all out of vocab
+    assert search(idx, QUERIES, k=250).num_rows == 0  # all out of vocab
     res = search(idx, MATCHING, k=250, join_back=False).to_pandas()
     assert set(res["doc_id"]) <= ids
     assert 0 < (res["qid"] == "m1").sum() < 250  # fewer matches than k

@@ -1,20 +1,30 @@
 """Force the at-scale code branches (distributed conv-offsets groupby,
 distributed vocab aggregation) that the driver-side fast paths normally
-shadow below DRIVER_SIDE_ROWS, and check that search()'s per-query-batch
-driver merge is rank-identical however the queries are batched."""
+shadow below DRIVER_SIDE_ROWS, check that search()'s per-query-batch
+driver merge is rank-identical however the queries are batched, and pin
+how search() sizes its scatter."""
 
 from __future__ import annotations
 
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 import bm25_benchmarks_ray.pipelines.index_build as ib
 from bm25_benchmarks_ray.config import IndexConfig
 from bm25_benchmarks_ray.functions.bm25 import BM25Params
-from bm25_benchmarks_ray.pipelines.query import search
+from bm25_benchmarks_ray.pipelines.docfilter import bitmap_nbytes
+from bm25_benchmarks_ray.pipelines.phrase import bool_query_topk
+from bm25_benchmarks_ray.pipelines.query import (
+    QBATCH_TARGET,
+    Index,
+    RESULT_SCHEMA,
+    _scatter_shape,
+    search,
+)
 from bm25_benchmarks_ray.sources.transcripts import (
     synthesize_queries,
     synthesize_transcripts,
@@ -105,17 +115,95 @@ def test_merge_runs_once_per_qbatch(two_group_index, monkeypatch):
 
 
 def test_local_search_starts_no_ray_data_job(two_group_index, monkeypatch):
+    """search() is plain tasks plus a driver merge and returns the merged
+    Arrow table itself: no Ray Data dataset is built to score or to wrap
+    the result, a zero-row result keeps its columns, and the boolean
+    entry points hand search()'s table on as is."""
     import ray.data as rd
 
     def boom(*a, **kw):
         raise AssertionError("search() started a Ray Data job")
 
-    expected = _ranked(search(two_group_index, synthesize_queries(5, seed=8), k=10))
+    queries = synthesize_queries(5, seed=8)
+    expected = _ranked(search(two_group_index, queries, k=10))
+    for name in ("from_arrow", "from_arrow_refs"):
+        monkeypatch.setattr(rd, name, boom)
+    # the boolean posting scan is a Ray Data job of its own; its one
+    # search() must not add another
+    bq = bool_query_topk(two_group_index, [("b", "", queries[0][1], "")], k=5)
     monkeypatch.setattr(rd, "from_items", boom)
     monkeypatch.setattr(rd.Dataset, "map_batches", boom)
-    ds = search(two_group_index, synthesize_queries(5, seed=8), k=10)
+    res = search(two_group_index, queries, k=10)
+    none_allowed = np.zeros(
+        bitmap_nbytes(Index.open(two_group_index).id_bound), dtype=np.uint8)
+    empty = search(two_group_index, queries, k=10, allowed=none_allowed)
     monkeypatch.undo()
-    assert _ranked(ds).equals(expected)
+    assert isinstance(res, pa.Table) and isinstance(bq, pa.Table)
+    assert _ranked(res).equals(expected)
+    assert bq.num_rows == 5
+    assert isinstance(empty, pa.Table) and empty.num_rows == 0
+    assert empty.schema == RESULT_SCHEMA.append(
+        pa.field("conv_id", pa.string())).append(pa.field("turn_idx", pa.int32()))
+    assert list(empty.to_pandas()["qid"]) == []
+
+
+@pytest.mark.parametrize("cpus,n_q,k,n_groups,shape", [
+    # one CPU: one task per group; q-batches only cap the batch size
+    (1, 1, 10, 1, (1, 1)),
+    (1, 200, 10, 1, (1, 1)),
+    (1, 200, 1000, 1, (1, 1)),
+    (1, 50, 10, 4, (1, 1)),
+    (1, 8000, 10, 1, (16, 1)),
+    (1, 8000, 1000, 1, (16, 1)),
+    # several CPUs: ~3 waves per CPU, as before the one-CPU rule
+    (4, 1, 10, 1, (1, 12)),
+    (4, 200, 10, 1, (12, 1)),
+    (4, 200, 1000, 1, (12, 1)),
+    (4, 50, 10, 4, (3, 1)),
+    (16, 1, 10, 1, (1, 15)),
+    (16, 200, 10, 1, (12, 4)),
+    (16, 200, 1000, 1, (25, 2)),
+    (16, 50, 10, 4, (3, 4)),
+    (32, 1, 10, 1, (1, 15)),
+    (32, 200, 10, 1, (12, 8)),
+    (32, 200, 1000, 1, (25, 4)),
+    (32, 50, 10, 4, (3, 8)),
+    # every q-batch holds at most QBATCH_TARGET queries, dense path too
+    (4, 8000, 1000, 1, (16, 1)),
+])
+def test_scatter_shape(cpus, n_q, k, n_groups, shape):
+    n_qbatch, n_slices = _scatter_shape(n_q, k, n_groups, 1_000_000, cpus)
+    assert (n_qbatch, n_slices) == shape
+    assert -(-n_q // n_qbatch) <= QBATCH_TARGET
+
+
+def test_one_cpu_search_launches_one_task_per_group(ray_session, tmp_path,
+                                                     monkeypatch):
+    """On a one-CPU cluster a 200-query call over one group is one
+    scoring task (it was 8, each re-reading and re-decoding its terms)."""
+    import ray
+
+    import bm25_benchmarks_ray.pipelines.query as query
+
+    p = str(tmp_path / "t.parquet")
+    pq.write_table(synthesize_transcripts(200, seed=5), p)
+    idx = str(tmp_path / "index")
+    ib.build_index(p, idx, IndexConfig(), mode="transcripts", n_groups=1)
+    queries = synthesize_queries(200, seed=6)
+    expected = _ranked(search(idx, queries, k=10))
+
+    launched = []
+    real = query._collect_arrow
+
+    def record(refs):
+        launched.append(len(refs))
+        return real(refs)
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    monkeypatch.setattr(query, "_collect_arrow", record)
+    got = _ranked(search(idx, queries, k=10))
+    assert sum(launched) == 1
+    assert got.equals(expected)
 
 
 @pytest.mark.parametrize("arg,value", [

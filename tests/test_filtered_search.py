@@ -330,3 +330,77 @@ def test_mask_list_length_must_match_queries(built):
     bm = bitmap_from_ids(np.arange(5), N_TURNS)
     with pytest.raises(ValueError, match="2 masks for 3 queries"):
         search(idx, synthesize_queries(3, seed=1), allowed=[bm, bm])
+
+
+# ------------------------------------------------ ids that start past 0
+
+ID_LO, ID_HI = 1000, 1400
+
+
+@pytest.fixture(scope="module")
+def offset_ids(ray_session, tmp_path_factory):
+    """A 2-group documents index of 400 docs whose ids are 1000..1399:
+    masks span the id space [0, 1400), not [0, num_docs)."""
+    import pyarrow as pa
+
+    d = tmp_path_factory.mktemp("ocorpus")
+    texts = synthesize_transcripts(ID_HI - ID_LO, seed=13).column("text")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(ID_LO, ID_HI, dtype=np.int64)),
+        "text": texts,
+    }), os.path.join(d, "docs.parquet"))
+    idx = str(tmp_path_factory.mktemp("oidx") / "index")
+    build_index(str(d), idx, IndexConfig(), mode="documents", n_groups=2)
+    return idx
+
+
+def test_masks_on_ids_past_zero(offset_ids):
+    """search(allowed=...) with a bitmap or shards over [0, id_bound),
+    bool_query_topk (incl. MUST_NOT) and bool_and_topk all run on an
+    index whose ids start past 0, and a mask confines the ranking to
+    its docs without changing their scores."""
+    from bm25_benchmarks_ray.pipelines.docfilter import compose_shards
+    from bm25_benchmarks_ray.pipelines.phrase import bool_and_topk, bool_query_topk
+    from bm25_benchmarks_ray.pipelines.query import Index
+
+    idx = offset_ids
+    index = Index.open(idx)
+    assert (index.num_docs, index.id_bound) == (ID_HI - ID_LO, ID_HI)
+    queries = synthesize_queries(6, seed=9)
+    # every doc ranked: the reference for any masked top-k
+    ranked = search(idx, queries, k=ID_HI - ID_LO, join_back=False).to_pandas()
+    keep = np.arange(ID_LO, ID_HI, 3)
+    bm = bitmap_from_ids(keep, ID_HI)
+    shards = compose_shards(sorted(index.ranges.values()), ID_HI, user=bm)
+    for allowed in (bm, shards):
+        got = search(idx, queries, k=10, allowed=allowed,
+                     join_back=False).to_pandas()
+        for qid, _ in queries:
+            want = ranked[(ranked["qid"] == qid) & ranked["doc_id"].isin(keep)]
+            mine = got[got["qid"] == qid].sort_values("rank")
+            assert list(mine["doc_id"]) == list(want["doc_id"][:10]), qid
+            np.testing.assert_allclose(mine["score"], want["score"][:10])
+
+    qid, text = queries[0]
+    top = ranked[ranked["qid"] == qid].head(10)
+    anyq = bool_query_topk(idx, [(qid, "", text, "")], k=10)
+    assert set(anyq.column("doc_id").to_pylist()) == set(top["doc_id"])
+    df = index.df_of(index.analyze(text))
+    term = max(df, key=df.get)
+    nott = bool_query_topk(idx, [(qid, "", text, term)], k=10)
+    conj = bool_and_topk(idx, [(qid, term)], k=10)
+    assert nott.num_rows and conj.num_rows
+    assert not set(nott.column("doc_id").to_pylist()) & set(
+        conj.column("doc_id").to_pylist())
+    for t in (anyq, nott, conj):
+        ids = np.asarray(t.column("doc_id").to_pylist())
+        assert ((ids >= ID_LO) & (ids < ID_HI)).all()
+
+
+def test_short_mask_on_ids_past_zero_raises(offset_ids):
+    """A bitmap over [0, num_docs) is too short when ids run past
+    num_docs: the driver names the size it needs before any task runs."""
+    short = bitmap_from_ids(np.arange(0, ID_HI - ID_LO, 2), ID_HI - ID_LO)
+    need = bitmap_nbytes(ID_HI)
+    with pytest.raises(ValueError, match=rf"need {need} for doc ids \[0, {ID_HI}\)"):
+        search(offset_ids, synthesize_queries(2, seed=1), allowed=short)

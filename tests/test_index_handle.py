@@ -85,7 +85,7 @@ def test_one_manifest_load_per_call(cased, monkeypatch):
 
     monkeypatch.setattr(Manifest, "load", classmethod(counting))
     calls = {
-        "search": lambda: search(idx, [("q", "Ray")]).count(),
+        "search": lambda: search(idx, [("q", "Ray")]).num_rows,
         "bool_and_topk": lambda: bool_and_topk(idx, [("q", "Ray Data")]),
         "bool_query_topk": lambda: bool_query_topk(
             idx, [("q", "Ray", "Data", "Serve")]),
@@ -116,7 +116,7 @@ def test_traced_search_resolves_every_target(cased):
     try:
         for owner, attr, _ in _targets():
             assert hasattr(getattr(owner, attr), "__wrapped__"), attr
-        query.search(idx, [("q", "Ray Data")]).count()
+        query.search(idx, [("q", "Ray Data")]).num_rows
     finally:
         tracer.uninstall()
     root = next(s for s in tracer.roots if s.name == "query.search")

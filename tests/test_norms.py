@@ -181,7 +181,7 @@ def test_version_mismatch_raises_and_build_rebuilds(ray_session, tmp_path):
         search(idx, [("q", "cache")])
     man = build_index(src, idx, IndexConfig(), mode="documents")
     assert man.is_complete() and has_norms(idx, man)
-    assert search(idx, [("q", "cache")]).count() > 0
+    assert search(idx, [("q", "cache")]).num_rows > 0
 
 
 def test_traced_ingest_spans(ray_session, tmp_path):
