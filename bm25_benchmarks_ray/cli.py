@@ -23,6 +23,8 @@ def _common_index_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stemmer", default="snowball", choices=["snowball", "none"])
     p.add_argument("--salt-range", type=int, default=262144)
     p.add_argument("--block-size", type=int, default=128)
+    p.add_argument("--positions", action="store_true",
+                   help="store token positions (needed by `phrase`)")
 
 
 def _bm25_args(p: argparse.ArgumentParser) -> None:
@@ -118,6 +120,7 @@ def cmd_index(args) -> int:
     cfg = IndexConfig(
         stopwords=args.stopwords, stemmer=args.stemmer,
         salt_range=args.salt_range, block_size=args.block_size,
+        positions=args.positions,
     )
     source, mode = args.input, args.mode
     if mode == "beir":
@@ -203,8 +206,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_phrase(args) -> int:
-    """Exact-phrase / ordered-proximity retrieval (pipelines/phrase.py):
-    TSV queries (qid\\tphrase), --gap > 1 relaxes adjacency to NEAR."""
+    """Exact-phrase / ordered-proximity retrieval (pipelines/phrase.py)
+    over an index built with ``index --positions``: TSV queries
+    (qid\\tphrase), --gap > 1 relaxes adjacency to NEAR."""
     from .functions.bm25 import BM25Params
     from .pipelines.phrase import phrase_topk
 
@@ -212,9 +216,8 @@ def cmd_phrase(args) -> int:
     params = BM25Params(method=args.method, k1=args.k1, b=args.b,
                         delta=args.delta)
     res = phrase_topk(
-        args.index, args.docs, _read_queries(args.queries),
+        args.index, _read_queries(args.queries),
         k=args.top_k, params=params, gap=args.gap,
-        positions=args.positions,
     ).to_pandas()
     res = _maybe_ext_ids(res, args.index)
     if args.output:
@@ -222,18 +225,6 @@ def cmd_phrase(args) -> int:
         print(f"wrote {len(res)} rows to {args.output}")
     else:
         res.to_csv(sys.stdout, sep="\t", index=False)
-    return 0
-
-
-def cmd_positions(args) -> int:
-    """Build the positional postings sidecar (pipelines/positions.py)
-    for a complete index — opt-in, resumable per group; afterwards
-    `phrase` resolves occurrences index-only."""
-    from .pipelines.positions import build_positions
-
-    _init_ray(args.num_cpus, args.address)
-    root = build_positions(args.index, args.input)
-    print(f"positions sidecar complete at {root}")
     return 0
 
 
@@ -468,25 +459,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("phrase")
     p.add_argument("--index", required=True)
-    p.add_argument("--docs", required=True,
-                   help="documents parquet (phase-2 text verify)")
     p.add_argument("--queries", required=True, help="TSV: qid\\tphrase")
     p.add_argument("--gap", type=int, default=1,
                    help="1 = exact phrase; n > 1 = ordered NEAR/n")
-    p.add_argument("--positions", choices=["auto", "force", "off"],
-                   default="auto",
-                   help="resolve occurrences from the positional "
-                        "sidecar when present (auto), require it "
-                        "(force), or always re-tokenize (off)")
     p.add_argument("--output", default=None)
     _bm25_args(p)
     p.set_defaults(fn=cmd_phrase)
-
-    p = sub.add_parser("positions")
-    p.add_argument("--index", required=True)
-    p.add_argument("--input", required=True,
-                   help="documents parquet with explicit doc ids")
-    p.set_defaults(fn=cmd_positions)
 
     p = sub.add_parser("boolq")
     p.add_argument("--index", required=True)

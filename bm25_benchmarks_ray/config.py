@@ -3,7 +3,7 @@
 The tokenization/scoring surface mirrors the reference CLI flags
 (/root/reference/benchmark/on_bm25s.py:263-380: method, k1, b, delta,
 stopwords, stemmer_name, top_k, ...); the physical knobs (salt range,
-block size, batch sizes, actor-pool concurrency) are ours.
+block size, batch sizes, build overlap) are ours.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ class IndexConfig:
     # tokenizer stage batch size (runs as a task pool; cross-batch
     # state lives at worker-process level — stages/tokenize_stage.py)
     tokenize_batch_size: int = 16384
-    # retained for manifest compatibility; the tokenizer no longer uses
-    # a fixed actor pool (task pool since round 3)
-    tokenize_concurrency: int | tuple[int, int] | None = None
 
-    # parallelism hint for reads (None = let Ray decide)
-    override_num_blocks: int | None = None
+    # store each posting's kept-stream token positions beside the
+    # segments (phrase / NEAR retrieval, pipelines/positions.py); the
+    # build writes them in the pass that writes the postings
+    positions: bool = False
 
     # concurrent group sub-pipelines during the build: one group's
     # sort/merge barrier overlaps another's read/tokenize wave, so the
@@ -79,13 +78,12 @@ class IndexConfig:
             "block_size": self.block_size,
             "format": 4,  # 4: tid-keyed exchange, sorted-block merge
         }
+        if self.positions:  # absent when off: such indexes keep their fingerprint
+            sem["positions"] = True
         return hashlib.sha256(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if isinstance(d.get("tokenize_concurrency"), tuple):
-            d["tokenize_concurrency"] = list(d["tokenize_concurrency"])
-        return d
+        return asdict(self)
 
 
 DEFAULT_PARAMS = BM25Params()

@@ -32,6 +32,8 @@ CACHE_ROOT = "/tmp/bm25rd/index_cache"
 
 # BM25 pipelines checked against DuckDB: no stemmer (see module doc).
 SQL_CFG = IndexConfig(stopwords="en", stemmer="none")
+# the phrase / NEAR entries' index: the same analyzer, with positions
+POS_CFG = IndexConfig(stopwords="en", stemmer="none", positions=True)
 # the stemmed pipeline (the reference's default config) — its oracle
 # maps terms to stems via the inline _stem_map_values() VALUES list
 STEMMED_CFG = IndexConfig(stopwords="en", stemmer="snowball")
@@ -267,16 +269,19 @@ def q_bm25_served(sf_dir: str, method: str = "lucene", k: int = 10):
     )
 
 
-def q_phrase_topk(sf_dir: str, method: str = "lucene", k: int = 10):
-    """Exact phrase retrieval (pipelines/phrase.py): index-intersected
-    candidates, streaming bitmap-filtered re-tokenize verify, virtual-
-    term BM25 scoring — all five PHRASE_QUERIES in one phase-2 pass."""
+def q_phrase_topk(sf_dir: str, method: str = "lucene", k: int = 10,
+                  gap: int = 1):
+    """Exact phrase retrieval (pipelines/phrase.py) over an index built
+    with positions (Lucene .pos analogue, reference on_pyserini.py
+    --storePositions): occurrences resolved from per-posting kept-stream
+    positions, no corpus text read; virtual-term BM25 scoring — all
+    five PHRASE_QUERIES in one pass."""
     from .pipelines.phrase import phrase_topk
 
-    idx = documents_index(sf_dir)
+    idx = documents_index(sf_dir, POS_CFG)
     return phrase_topk(
-        idx, _docs_path(sf_dir), PHRASE_QUERIES, k=k,
-        params=BM25Params(method=method), cfg=SQL_CFG,
+        idx, PHRASE_QUERIES, k=k, params=BM25Params(method=method),
+        cfg=SQL_CFG, gap=gap,
     )
 
 
@@ -284,52 +289,7 @@ def q_near_topk(sf_dir: str, method: str = "lucene", k: int = 10,
                 gap: int = 3):
     """Ordered-proximity retrieval (NEAR/3 over the same phrase set):
     each next term within 3 kept-stream positions, tf = chain starts."""
-    from .pipelines.phrase import phrase_topk
-
-    idx = documents_index(sf_dir)
-    return phrase_topk(
-        idx, _docs_path(sf_dir), PHRASE_QUERIES, k=k,
-        params=BM25Params(method=method), cfg=SQL_CFG, gap=gap,
-    )
-
-
-def documents_positions(sf_dir: str) -> str:
-    """Index + positional sidecar (pipelines/positions.py), both cached
-    under /tmp; build_positions is an idempotent per-group resume."""
-    from .pipelines.positions import build_positions
-
-    idx = documents_index(sf_dir)
-    build_positions(idx, _docs_path(sf_dir))
-    return idx
-
-
-def q_phrase_topk_pos(sf_dir: str, method: str = "lucene", k: int = 10):
-    """Exact phrase via the POSITIONAL sidecar (Lucene .pos analogue,
-    reference on_pyserini.py --storePositions): occurrences resolved
-    from per-(term, doc) delta+varint kept-stream positions — no
-    corpus text read.  Same SQL oracle as phrase_topk: both paths are
-    contract-identical."""
-    from .pipelines.phrase import phrase_topk
-
-    idx = documents_positions(sf_dir)
-    return phrase_topk(
-        idx, _docs_path(sf_dir), PHRASE_QUERIES, k=k,
-        params=BM25Params(method=method), cfg=SQL_CFG, positions="force",
-    )
-
-
-def q_near_topk_pos(sf_dir: str, method: str = "lucene", k: int = 10,
-                    gap: int = 3):
-    """NEAR/3 via the positional sidecar — the backward chain-DP runs
-    on (doc, kept_pos) keys instead of re-tokenized streams."""
-    from .pipelines.phrase import phrase_topk
-
-    idx = documents_positions(sf_dir)
-    return phrase_topk(
-        idx, _docs_path(sf_dir), PHRASE_QUERIES, k=k,
-        params=BM25Params(method=method), cfg=SQL_CFG, gap=gap,
-        positions="force",
-    )
+    return q_phrase_topk(sf_dir, method, k, gap)
 
 
 def q_bool_and_topk(sf_dir: str, method: str = "lucene", k: int = 10):
@@ -1943,8 +1903,10 @@ def build_queries() -> dict:
     q["hybrid_rrf_topk"] = q_hybrid_rrf
     q["phrase_topk"] = q_phrase_topk
     q["near_topk"] = q_near_topk
-    q["phrase_topk_pos"] = q_phrase_topk_pos
-    q["near_topk_pos"] = q_near_topk_pos
+    # phrase retrieval has one path: the *_pos names read the same
+    # build-written positions as the plain ones
+    q["phrase_topk_pos"] = q_phrase_topk
+    q["near_topk_pos"] = q_near_topk
     q["bool_and_topk"] = q_bool_and_topk
     q["bool_query_topk"] = q_bool_query_topk
     q["snippet_topk"] = q_snippet_topk

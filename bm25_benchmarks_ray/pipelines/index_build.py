@@ -8,11 +8,12 @@ tokenize → index.  Here each step is a streaming Ray Data stage:
       → [transcripts] assign doc_id (broadcast conv offsets)
       → map_batches(TokenizeRuns instance, task pool)  # map-side combine:
                                                       #   one compressed run per (term, batch)
-      → (read sized to 3×CPU blocks: override_num_blocks — no repartition barrier)
+      → (read sized to 3×CPU blocks — no repartition barrier)
       → [extreme skew] groupby(term, salt) pre-merge  # salted hierarchical level
       → groupby(term) → merge runs → segment rows     # the wide shuffle
       → write_parquet(segments/group=K)               # resumable partition
         + _norms.npy from the tokenize pass's doc lengths (state/norms.py)
+        + [positions=True] _positions/ rows, a side output of the merge
 
 The build is partitioned into *groups* (contiguous runs of input files →
 disjoint doc sets).  Groups are the checkpoint/resume unit (manifest
@@ -55,7 +56,7 @@ from ray.data.aggregate import Sum
 from ..compat import prime_fsspec_http
 from ..config import IndexConfig
 from ..stages.docids import assign_doc_ids, conv_offsets, conv_offsets_local
-from ..stages.segments import make_merge_partial, make_merge_sorted
+from ..stages.segments import POSITIONS_DIR, make_merge_partial, make_merge_sorted
 from ..stages.tokenize_stage import TokenizeRuns
 from ..state.manifest import FormatVersionError, Manifest
 from ..state.norms import PARTS_DIR
@@ -306,7 +307,9 @@ def _build_group_segments(
     batched-encode block merge replaces ~2 ms/term of per-group UDF +
     1-row-table overhead (which also wrote one parquet row group PER
     TERM).  two_level inserts the salted (tid, salt) pre-merge for
-    extreme skew."""
+    extreme skew.  Under ``cfg.positions`` the runs carry positions and
+    the merge writes the group's position rows into the tmp dir's
+    ``_positions/`` beside the segments."""
     # TASK pool, not actors: the tokenizer's cross-batch state (Porter2
     # LRU, first-sight term-string set) lives at worker-PROCESS level,
     # so plain tasks keep the same economics while skipping the actor
@@ -329,8 +332,10 @@ def _build_group_segments(
             make_merge_partial(cfg.salt_range), batch_format="pyarrow",
             batch_size=None,
         )
+    pos_dir = os.path.join(tmp, POSITIONS_DIR) if cfg.positions else None
     segments = runs.sort(["tid", "d0"], boundaries=bounds).map_batches(
-        make_merge_sorted(cfg.block_size), batch_format="pyarrow", batch_size=None
+        make_merge_sorted(cfg.block_size, positions_dir=pos_dir),
+        batch_format="pyarrow", batch_size=None,
     )
     segments.write_parquet(tmp)
     return tmp
@@ -340,8 +345,8 @@ def _publish_group(
     index_dir: str, man: Manifest, gid: int, tmp: str, entry: dict
 ) -> None:
     """Scatter the tmp group dir's norms parts into its norms array,
-    rename the dir into place — segments and norms publish together —
-    and record the group in the manifest."""
+    rename the dir into place — segments, norms and positions publish
+    together — and record the group in the manifest."""
     from ..state.norms import build_norms
 
     build_norms(index_dir, man, tmp, entry)
@@ -745,7 +750,11 @@ def compact_index(
     query plans shrink from len(gids) groups' term lookups to one.
     The merged group's norms array is the source arrays placed at their
     offsets, written before the merge (whose per-block min dl reads it)
-    and published with the merged segments.
+    and published with the merged segments.  An index with positions
+    merges the sources' position rows instead of their segment rows
+    (they carry the same doc and tf streams), so one pass writes the
+    merged segments and, as the merge's side output, the merged
+    positions.
     """
     cfg = cfg or IndexConfig()
     man = Manifest.load(index_dir)
@@ -762,8 +771,12 @@ def compact_index(
 
     from ..stages.segments import make_compact_merge
     from ..state.norms import NORMS_FILE, build_norms
+    from .positions import has_positions
 
+    positions = has_positions(man)
     g_dirs = [os.path.join(index_dir, SEGMENTS_DIR, f"group={g}") for g in gids]
+    if positions:
+        g_dirs = [os.path.join(d, POSITIONS_DIR) for d in g_dirs]
     # read_parquet expands a single directory path but not a LIST of
     # directories — glob the segment files explicitly
     seg_files = sorted(
@@ -806,14 +819,14 @@ def compact_index(
     os.makedirs(out_dir)
     norms_entry: dict = {}
     build_norms(index_dir, man, out_dir, norms_entry, sources=gids)
-    merged = (
-        ds.map_batches(add_d0, batch_format="pyarrow")
-        .sort(["tid", "d0"], boundaries=bounds)
-        .map_batches(
-            make_compact_merge(block_size, os.path.join(out_dir, NORMS_FILE),
-                               norms_entry["norms_lo"]),
-            batch_format="pyarrow", batch_size=None,
-        )
+    if not positions:  # position rows carry their d0
+        ds = ds.map_batches(add_d0, batch_format="pyarrow")
+    merged = ds.sort(["tid", "d0"], boundaries=bounds).map_batches(
+        make_compact_merge(
+            block_size, os.path.join(out_dir, NORMS_FILE), norms_entry["norms_lo"],
+            os.path.join(out_dir, POSITIONS_DIR) if positions else None,
+        ),
+        batch_format="pyarrow", batch_size=None,
     )
     merged.write_parquet(out_dir)
 

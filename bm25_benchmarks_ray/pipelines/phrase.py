@@ -8,36 +8,25 @@ format:
 
 **Conjunctive AND** (``bool_and_topk``) — docs containing ALL query
 terms, ranked by the ordinary BM25 score.  Pure composition: the
-phrase-candidate intersection below builds a packed doc-id bitmap per
+posting-list intersection below builds a packed doc-id bitmap per
 query (pipelines/docfilter.py) and the whole batch goes to ONE
 ``search(allowed=[bitmap per query])`` — the filtered-retrieval
 machinery does the rest (mask applied inside the scorers, stats stay
 full-corpus).
 
-**Exact phrase** (``phrase_topk``) — the two-phase positions-free
-design:
-
-  Phase 1 (index): candidate docs = intersection of the phrase
-    terms' posting lists.  Per index group (disjoint doc ranges), one
-    term-pruned parquet read decodes only the phrase terms' postings
-    and intersects sorted doc-id arrays smallest-df-first; per-group
-    candidate chunks OR into the bitmap driver-side (≤ num_docs/8
-    bytes total on the wire).  Read volume is the phrase terms'
-    postings — the same bytes a BM25 query over those terms pays —
-    never the corpus.
-  Phase 2 (text verify): one streaming ``map_batches`` pass over the
-    corpus parquet re-tokenizes ONLY candidate rows (bitmap mask per
-    batch; read span pruned to the candidates' doc-id range) and
-    counts exact phrase occurrences in each doc's kept token stream,
-    vectorized over the batch's dictionary-encoded stream — the build's
-    own ``stages.tokenize_stage._token_quad`` under the index's
-    config — no per-doc Python loop.
+**Exact phrase** (``phrase_topk``) — read from the index's positions
+(pipelines/positions.py; an index built with
+``IndexConfig(positions=True)``, the reference's
+``on_pyserini.py --storePositions``).  Per group, ONE term-pruned read
+of the phrase terms' position rows resolves every query's occurrence
+count with no corpus text read (``_positions_counts``); ``gap`` > 1
+relaxes adjacency into ordered proximity (NEAR/n).
   Scoring: the phrase is a *virtual term*: tf = occurrence count,
     df = number of docs with ≥1 occurrence, dl = the doc's kept-stream
-    length; score = idf(df) · tf_shape(tf, dl) with the standard
-    variant formulas (functions/bm25).  Only matching docs are ranked
-    (no dense-vector padding — a phrase is a match predicate, not a
-    similarity over the whole corpus).
+    length (the group's norms); score = idf(df) · tf_shape(tf, dl) with
+    the standard variant formulas (functions/bm25).  Only matching docs
+    are ranked (no dense-vector padding — a phrase is a match predicate,
+    not a similarity over the whole corpus).
 
 Semantics contract (mirrored exactly by the SQL oracle in
 driver_api.phrase_topk_sql):
@@ -55,43 +44,29 @@ driver_api.phrase_topk_sql):
 * overlapping occurrences all count ("aa aa aa" contains "aa aa"
   twice); repeated phrase terms are allowed;
 * a phrase containing an out-of-vocabulary term matches nothing
-  (strict conjunction — phase 1 intersects to empty);
+  (strict conjunction: the term has no positions);
 * a one-term phrase degenerates to that term's plain BM25 score over
   its matching docs.
 
-Scale: phase-1 cost is bounded by the phrase terms' posting lists;
-phase-2 cost is proportional to the CANDIDATE set (bounded by the
-rarest term's df), streamed with row-group pruning.  The candidate
-counts table is (qid, doc_id, ptf, dl) — materialized once for the
-df aggregate, candidate-scale, never corpus-scale.
-
-**Positions path** (round 5): when the index carries the positional
-sidecar (pipelines/positions.py — Lucene's separate ``.pos`` file;
-reference analogue ``on_pyserini.py --storePositions``), phases 1+2
-fuse into one term-pruned sidecar scan per group: occurrences resolve
-from per-(term, doc) delta+varint kept-stream positions with NO
-corpus text read (``_positions_counts``).  Opt-in via
-``build_positions`` / ``positions="auto"|"force"``; the two-phase
-re-tokenize above remains the positions-free fallback, and both paths
-are contract-identical (tested).  The bitmap itself has the
-10^12-doc sharding story documented in pipelines/docfilter.py.
+Scale: the cost is the phrase terms' postings plus ~1 varint per
+occurrence; the counts table is (qid, doc_id, ptf, dl) —
+materialized once for the df aggregate, match-scale, never
+corpus-scale.  The boolean bitmaps have the 10^12-doc sharding story
+documented in pipelines/docfilter.py.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import ray
 import ray.data as rd
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, tf_shape
-from ..stages.tokenize_stage import TokenizePostings, _token_quad
 from .docfilter import bitmap_nbytes, invert_bitmap
 from .query import Index, search
 from .topk import grouped_topk
@@ -244,123 +219,6 @@ def candidate_bitmap(index_dir: str, terms: list[str] | set[str]) -> np.ndarray:
     return _postings_bitmaps(Index.open(index_dir), [("q", terms, "and")])["q"]
 
 
-def _bit_test(bitmap: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    return (bitmap[ids >> 3] >> (ids & 7).astype(np.uint8)) & 1
-
-
-def _make_phrase_counter(
-    bitmap_ref,
-    phrases: list[tuple[str, list[str]]],
-    tokenizer: TokenizePostings,
-    id_col: str,
-    text_col: str,
-    gap: int = 1,
-):
-    """Batch fn: (qid, doc_id, ptf, dl) for every candidate doc with
-    ≥1 occurrence of a phrase.  All phrases share one tokenize pass —
-    the index build's own kept stream (``_token_quad`` over the index's
-    ``TokenizePostings``); matching runs on that dictionary-encoded
-    stream — equality tests against phrase-term class ids, one
-    vectorized AND chain per phrase.
-
-    ``gap`` — ordered-proximity slack: each next term must appear
-    within ``gap`` kept-stream positions after the previous one
-    (gap=1 ⇒ strict adjacency, the exact-phrase case).  For gap > 1
-    an occurrence is a START position from which a full in-order
-    chain exists (exists-semantics, counted once per start — mirrored
-    by count(DISTINCT k0.rn) in the SQL oracle); the chain test is a
-    backward sweep of one searchsorted per phrase term (take the
-    NEAREST valid continuation — if any continuation is in range, the
-    nearest is), never a tuple enumeration."""
-    # phrase terms → dense class ids (shared across phrases)
-    pterm_cls: dict[str, int] = {}
-    seqs: list[tuple[str, np.ndarray]] = []
-    for qid, toks in phrases:
-        seqs.append(
-            (qid, np.array([pterm_cls.setdefault(t, len(pterm_cls)) for t in toks],
-                           dtype=np.int64))
-        )
-
-    def count(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"qid": pa.array([], type=pa.string()),
-             "doc_id": pa.array([], type=pa.int64()),
-             "ptf": pa.array([], type=pa.int64()),
-             "dl": pa.array([], type=pa.int64())}
-        )
-        ids = batch.column(id_col).to_numpy().astype(np.int64, copy=False)
-        if ids.size == 0:
-            return empty
-        sel = np.flatnonzero(_bit_test(ray.get(bitmap_ref), ids))
-        if sel.size == 0:
-            return empty
-        sel_ids = ids[sel]
-        # kept stream: stopwords out, positions renumbered (module doc)
-        codes, uniq, doc_of, dl = _token_quad(
-            batch.column(text_col).take(pa.array(sel)), tokenizer
-        )
-        # class id per occurrence: phrase-term id or -1
-        cls = np.fromiter((pterm_cls.get(u, -1) for u in uniq),
-                          dtype=np.int64, count=len(uniq))
-        cls_codes = cls[codes] if codes.size else codes
-        out_q: list[np.ndarray] = []
-        out_d: list[np.ndarray] = []
-        out_tf: list[np.ndarray] = []
-        out_dl: list[np.ndarray] = []
-        L = cls_codes.size
-        for qid, seq in seqs:
-            n = seq.size
-            if n == 0 or L < n:
-                continue
-            if gap == 1:
-                m = L - n + 1
-                valid = cls_codes[:m] == seq[0]
-                for j in range(1, n):
-                    valid &= cls_codes[j: m + j] == seq[j]
-                valid &= doc_of[:m] == doc_of[n - 1:]  # start+end in one doc
-                if not valid.any():
-                    continue
-                starts = np.flatnonzero(valid)
-            else:
-                # backward exists-DP: ok = ALL positions of term j+1 from
-                # which a full chain completes; a position p of term j
-                # chains iff the nearest ok strictly after p is within
-                # gap and in the same doc (nearest-of-the-VALID-set, so
-                # no greedy misses — a farther valid q implies this
-                # nearest one is also in range)
-                ok = np.flatnonzero(cls_codes == seq[n - 1])
-                for j in range(n - 2, -1, -1):
-                    if ok.size == 0:
-                        break
-                    pj = np.flatnonzero(cls_codes == seq[j])
-                    if pj.size == 0:
-                        ok = pj
-                        break
-                    nxt = np.searchsorted(ok, pj, side="right")
-                    has = nxt < ok.size
-                    q = ok[np.minimum(nxt, ok.size - 1)]
-                    ok = pj[has & (q <= pj + gap) & (doc_of[q] == doc_of[pj])]
-                starts = ok
-                if starts.size == 0:
-                    continue
-            ptf = np.bincount(doc_of[starts], minlength=sel.size)
-            hit = np.flatnonzero(ptf)
-            out_q.append(np.full(hit.size, qid, dtype=object))
-            out_d.append(sel_ids[hit])
-            out_tf.append(ptf[hit])
-            out_dl.append(dl[hit])
-        if not out_q:
-            return empty
-        return pa.table(
-            {"qid": pa.array(np.concatenate(out_q), type=pa.string()),
-             "doc_id": pa.array(np.concatenate(out_d), type=pa.int64()),
-             "ptf": pa.array(np.concatenate(out_tf).astype(np.int64)),
-             "dl": pa.array(np.concatenate(out_dl).astype(np.int64))}
-        )
-
-    return count
-
-
 _EMPTY_COUNTS = pa.table(
     {"qid": pa.array([], type=pa.string()),
      "doc_id": pa.array([], type=pa.int64()),
@@ -374,27 +232,28 @@ def _positions_counts(
     phrases: list[tuple[str, list[str]]],
     gap: int,
 ) -> rd.Dataset:
-    """Phase 1+2 fused on the positions sidecar (pipelines/positions.py
-    — the Lucene .pos path, reference analogue on_pyserini.py
-    --storePositions): per group, ONE term-pruned read of the phrase
-    terms' positional postings resolves every query's occurrence count
-    without touching the corpus text.  Per (query, group): each phrase
-    slot's occurrences become sorted uint64 keys
-    ((doc - doc_lo) << 32) | kept_pos, and the same chain test
-    _make_phrase_counter runs on token streams runs here on keys —
-    gap=1 membership (key p matches iff p+j present for every slot j),
-    gap>1 the backward nearest-continuation DP.  Emits the candidate-
-    scale (qid, doc_id, ptf, dl) counts table, dl read from the
-    group's norms; cost is the phrase terms' postings + ~1 varint per
-    occurrence."""
-    from .positions import POSITIONS_DIR, positions_for_terms
+    """Occurrence counts from the index's positions (pipelines/
+    positions.py — the Lucene .pos path, reference analogue
+    on_pyserini.py --storePositions): per group, ONE term-pruned read
+    of the phrase terms' position rows resolves every query's
+    occurrence count without touching the corpus text.  Per (query,
+    group): each phrase slot's occurrences become sorted uint64 keys
+    ((doc - norms_lo) << 32) | kept_pos; gap=1 is membership (key p
+    matches iff p+j is present for every slot j), gap>1 a backward DP:
+    a position of term j chains iff the NEAREST chaining position of
+    term j+1 strictly after it is within ``gap`` in the same doc (if
+    any continuation is in range, the nearest is), so an occurrence is
+    a START position from which a full in-order chain exists, counted
+    once per start (count(DISTINCT k0.rn) in the SQL oracle).  Emits
+    the (qid, doc_id, ptf, dl) counts table, dl read from the group's
+    norms."""
+    from .positions import positions_for_terms
     from .query import _group_norms
 
     union_terms = sorted({t for _, toks in phrases for t in toks})
+    block_size = index.cfg.block_size
     items = [
-        {"group_dir": os.path.join(index.index_dir, POSITIONS_DIR, f"group={g}"),
-         "doc_lo": index.group_range(g)[0],
-         "seg_dir": index.group_dir(g), "norms_lo": index.norms_lo(g)}
+        {"group_dir": index.group_dir(g), "norms_lo": index.norms_lo(g)}
         for g in index.gids
     ]
 
@@ -403,12 +262,10 @@ def _positions_counts(
         out_d: list[np.ndarray] = []
         out_tf: list[np.ndarray] = []
         out_dl: list[np.ndarray] = []
-        for gd, lo, seg_dir, norms_lo in zip(
-            *(batch.column(c).to_pylist()
-              for c in ("group_dir", "doc_lo", "seg_dir", "norms_lo"))
-        ):
-            pmap = positions_for_terms(gd, union_terms)
-            norms = _group_norms(seg_dir, norms_lo)[0]
+        for gd, lo in zip(*(batch.column(c).to_pylist()
+                            for c in ("group_dir", "norms_lo"))):
+            pmap = positions_for_terms(gd, union_terms, block_size)
+            norms = _group_norms(gd, lo)[0]
             key_cache: dict[str, np.ndarray] = {}
 
             def keys_of(t: str) -> np.ndarray | None:
@@ -465,12 +322,10 @@ def _positions_counts(
                     (starts >> np.uint64(32)).astype(np.int64),
                     return_counts=True,
                 )
-                hit_docs = doc_rel + lo
-                dl = norms[hit_docs - norms_lo]
-                out_q.append(np.full(hit_docs.size, qid, dtype=object))
-                out_d.append(hit_docs)
+                out_q.append(np.full(doc_rel.size, qid, dtype=object))
+                out_d.append(doc_rel + lo)
                 out_tf.append(ptf.astype(np.int64))
-                out_dl.append(dl.astype(np.int64))
+                out_dl.append(norms[doc_rel].astype(np.int64))
         if not out_q:
             return _EMPTY_COUNTS
         return pa.table(
@@ -487,45 +342,39 @@ def _positions_counts(
 
 def phrase_topk(
     index_dir: str,
-    docs_path: str,
     queries: list[tuple[str, str]],
     k: int = 10,
     params: BM25Params | None = None,
     cfg: IndexConfig | None = None,
-    id_col: str = "doc_id",
-    text_col: str = "text",
     gap: int = 1,
-    positions: str = "auto",
 ) -> pa.Table:
     """Top-k exact-phrase retrieval: (qid, doc_id, rank, score) with
     round-6 deterministic (score desc, doc_id asc) ranking — module doc
-    for semantics and the two-phase design.
+    for semantics.  Needs an index built with
+    ``IndexConfig(positions=True)``; raises ``ValueError`` otherwise.
 
     ``gap`` > 1 relaxes adjacency into ordered proximity (NEAR/n):
     each next phrase term within ``gap`` kept-stream positions of the
-    previous; tf counts chain START positions (_make_phrase_counter).
-    gap=1 is the exact phrase.
+    previous; tf counts chain START positions (``_positions_counts``).
+    gap=1 is the exact phrase.  Deleted docs (tombstones.py) never
+    rank; like every other collection statistic, the phrase df still
+    counts them.  Duplicate qids raise ``ValueError``."""
+    from .positions import has_positions
 
-    ``positions``: "auto" (default) resolves occurrences from the
-    positional sidecar (pipelines/positions.py) when the index has
-    one — no corpus text read at all — and falls back to the
-    two-phase re-tokenize otherwise; "force" requires the sidecar;
-    "off" always re-tokenizes.  Both paths produce identical counts
-    (the sidecar stores the same kept-stream positions the fallback
-    recomputes).  Deleted docs (tombstones.py) never rank; like every
-    other collection statistic, the phrase df still counts them.
-    Duplicate qids raise ``ValueError``."""
-    if positions not in ("auto", "force", "off"):
-        raise ValueError("positions must be 'auto', 'force' or 'off'")
     if gap < 1:
         raise ValueError("gap must be >= 1")
-    # the re-tokenize fallback keys queries by qid, the positions path
-    # does not: duplicates would rank differently on the two paths
+    # queries are keyed by qid: a duplicate would merge two phrases'
+    # counts into one df and one ranking
     dup = sorted(q for q, n in Counter(q for q, _ in queries).items() if n > 1)
     if dup:
         raise ValueError(f"duplicate phrase qids: {dup}")
     params = params or BM25Params()
     index = Index.open(index_dir, cfg)
+    if not has_positions(index.man):
+        raise ValueError(
+            f"index at {index_dir} has no positions: phrase and NEAR "
+            "retrieval need an index built with IndexConfig(positions=True)"
+        )
     num_docs = index.num_docs
 
     empty = pa.table(
@@ -540,67 +389,9 @@ def phrase_topk(
     ]
     if not tokenized:
         return empty
-
-    from .positions import has_positions
-
-    use_pos = positions != "off" and has_positions(index_dir, index.man)
-    if positions == "force" and not use_pos:
-        raise ValueError(
-            f"positions='force' but no complete positions sidecar at "
-            f"{index_dir} (build_positions)"
-        )
-
-    if use_pos:
-        # positions path: phase 1+2 fused on the sidecar, no corpus
-        # text read (_positions_counts)
-        counts = _positions_counts(index, tokenized, gap).materialize()
-        if counts.count() == 0:
-            return empty
-    else:
-        toks_of: dict[str, list[str]] = dict(tokenized)
-        specs = [(qid, toks, "and") for qid, toks in tokenized]
-        # phase 1, ALL queries in ONE distributed scan (each group's
-        # vocab + segments read once; shared per-term decode across
-        # queries)
-        bms = _postings_bitmaps(index, specs)
-        phrases: list[tuple[str, list[str]]] = []
-        union = np.zeros(bitmap_nbytes(index.id_bound), dtype=np.uint8)
-        for qid, toks in toks_of.items():
-            bm = bms.get(qid)
-            if bm is None or not bm.any():
-                continue
-            phrases.append((qid, toks))
-            union |= bm
-        if not phrases:
-            return empty
-
-        # phase 2: stream candidates only (bitmap mask; read span
-        # pruned to the candidates' doc-id range via the byte envelope
-        # of set bits)
-        nz = np.flatnonzero(union)
-        span_lo, span_hi = int(nz[0]) << 3, (int(nz[-1]) + 1) << 3
-        # real row-group pruning: the doc-id span predicate is pushed
-        # into the parquet fragments (statistics skip whole row groups
-        # outside the candidates' range); the in-task span filter below
-        # stays as the exactness guard for writers without row-group
-        # stats
-        ds = rd.read_parquet(
-            docs_path, columns=[id_col, text_col],
-            filter=(pc.field(id_col) >= span_lo)
-            & (pc.field(id_col) < span_hi),
-        )
-        counter = _make_phrase_counter(
-            ray.put(union), phrases, index.tokenizer, id_col, text_col, gap
-        )
-
-        def spanned(batch: pa.Table) -> pa.Table:
-            d = batch.column(id_col)
-            m = pc.and_(pc.greater_equal(d, span_lo), pc.less(d, span_hi))
-            return counter(batch.filter(m))
-
-        counts = ds.map_batches(spanned, batch_format="pyarrow").materialize()
-        if counts.count() == 0:
-            return empty
+    counts = _positions_counts(index, tokenized, gap).materialize()
+    if counts.count() == 0:
+        return empty
 
     # per-phrase df: per-block partial value counts (≤ #phrases rows per
     # block leave each task — the driver never pulls the qid column)

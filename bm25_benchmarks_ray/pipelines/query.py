@@ -941,8 +941,8 @@ class Index:
     in scope, their contiguous doc ranges, the padding those allow
     (module docstring) and the analyzer, plus (read on first use) the
     tombstones, the join-back offsets and a term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
-    and snippet entry points and ``build_positions`` all read the index
-    through one handle; only a server keeps it past one call."""
+    and snippet entry points all read the index through one handle;
+    only a server keeps it past one call."""
 
     def __init__(
         self,

@@ -46,6 +46,21 @@ def load_tombstones(index_dir: str) -> np.ndarray | None:
     return pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy()
 
 
+def _id_spans(man: Manifest) -> list[tuple[int, int]]:
+    """The [lo, hi) doc-id spans the index's groups cover: each group's
+    contiguous range, else its bounding range, else [0, num_docs) (a
+    transcripts group without a range: its ids are ranks)."""
+    spans = []
+    for e in man.groups.values():
+        for lo_key, hi_key in (("doc_lo", "doc_hi"), ("doc_bound_lo", "doc_bound_hi")):
+            if e.get(lo_key) is not None:
+                spans.append((int(e[lo_key]), int(e[hi_key])))
+                break
+        else:
+            spans.append((0, int(man.stats["num_docs"])))
+    return spans
+
+
 def delete_docs(index_dir: str, doc_ids) -> int:
     """Tombstone ``doc_ids`` (numpy array, or a Ray Dataset with a
     ``doc_id`` column — e.g. the output of a distributed predicate or
@@ -54,7 +69,6 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     man = Manifest.load(index_dir)
     if man is None or not man.is_complete():
         raise ValueError(f"delete_docs requires a complete index at {index_dir!r}")
-    num_docs = int(man.stats["num_docs"])
 
     if hasattr(doc_ids, "iter_batches"):  # Ray Dataset
         parts = [
@@ -66,8 +80,13 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     else:
         ids = np.asarray(doc_ids)
     ids = np.unique(ids.astype(np.int64))
-    if ids.size and (ids[0] < 0 or ids[-1] >= num_docs):
-        raise ValueError("doc id outside [0, num_docs)")
+    inside = np.zeros(ids.size, dtype=bool)
+    for lo, hi in _id_spans(man):
+        inside |= (ids >= lo) & (ids < hi)
+    if not inside.all():
+        raise ValueError(
+            f"doc ids outside the index's id space: {ids[~inside][:8].tolist()}"
+        )
     old = load_tombstones(index_dir)
     if old is not None:
         ids = np.union1d(old, ids)

@@ -95,6 +95,29 @@ RUN_SCHEMA = pa.schema(
         ("dls", pa.binary()),
     ]
 )
+# Under IndexConfig(positions=True) each run also carries its postings'
+# kept-stream positions: per posting, tf values, the first absolute and
+# the rest deltas (one varint stream per run).
+RUN_POS_SCHEMA = RUN_SCHEMA.append(pa.field("poss", pa.binary()))
+
+# A group's positions live in ``<group dir>/_positions/*.parquet`` (the
+# leading ``_`` keeps them out of every segment read: pyarrow and Ray
+# Data skip ``_``-prefixed names), one row per segment row the merge
+# writes.  ``doc_ids``/``tfs`` are that segment row's own streams (tf ==
+# positions per posting), so the rows are self-contained for phrase
+# reads and for compaction, which merges them in place of the segments.
+POSITIONS_DIR = "_positions"
+POS_SCHEMA = pa.schema(
+    [
+        ("term", pa.string()),
+        ("tid", pa.uint64()),
+        ("d0", pa.int64()),        # first doc id: orders a term's parts
+        ("df", pa.int64()),
+        ("doc_ids", pa.binary()),  # block-reset delta+varint (segment coding)
+        ("tfs", pa.binary()),      # varint
+        ("poss", pa.binary()),     # varint, per posting: first absolute, deltas
+    ]
+)
 
 
 def term_ids(terms) -> np.ndarray:
@@ -529,7 +552,52 @@ def _first_strings(
     return out
 
 
-def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
+def _merged_poss(
+    col, g_start_row: np.ndarray, tf: np.ndarray, order: np.ndarray | None,
+    t_start: np.ndarray,
+) -> pa.Array:
+    """One position stream per group of rows (``g_start_row``), in the
+    merged posting order.  Each posting's positions are self-contained
+    (first absolute, then deltas), so rows that arrive in posting order
+    (``order`` None) splice their bytes; otherwise the postings are
+    regrouped by ``order`` (``tf`` values each, in input order) and the
+    stream re-encoded, cut at the groups' first postings ``t_start``."""
+    from ..functions.codec import varint_encode_bounds
+
+    view, offs = binary_join_zero_copy(col)
+    if order is None:
+        b = offs[np.append(g_start_row, offs.size - 1)]
+    else:
+        vals = varint_decode(np.frombuffer(view, dtype=np.uint8))
+        cnt = tf[order]
+        before = np.cumsum(cnt) - cnt
+        occ = np.repeat((np.cumsum(tf) - tf)[order] - before, cnt)
+        view, voff = varint_encode_bounds(vals[occ + np.arange(occ.size)])
+        b = voff[np.append(before[t_start], occ.size)]
+    return pa.array([view[b[i]:b[i + 1]] for i in range(b.size - 1)],
+                    type=pa.binary())
+
+
+def _write_positions(positions_dir: str, tbl: pa.Table) -> None:
+    """One merge block's position rows as an atomic part file, named by
+    the block's first (tid, d0), so a retried task replaces its own part
+    instead of adding a copy."""
+    import os
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    os.makedirs(positions_dir, exist_ok=True)
+    name = f"{int(tbl['tid'][0].as_py()):016x}-{int(tbl['d0'][0].as_py())}.parquet"
+    tmp = os.path.join(positions_dir, f"_{uuid.uuid4().hex}.tmp")
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, os.path.join(positions_dir, name))
+
+
+def make_merge_sorted(
+    block_size: int = 128, decode=_decode_run_block,
+    positions_dir: str | None = None,
+):
     """map_batches fn over a ``sort("tid")`` output block: merges ALL
     term groups in the partition into final segment rows with batched
     varint encodes — one encode pass per stream for the whole block,
@@ -538,8 +606,11 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
 
     ``decode`` turns the input block into ``(df, doc, tf, dl, tbuf,
     ...)``: :func:`_decode_run_block` for tokenizer runs (the build),
-    :func:`_decode_segment_block` for segment rows (compaction).  dl
-    only feeds the per-block min dl; segments store no dl stream."""
+    :func:`_decode_segment_block` for segment or position rows
+    (compaction).  dl only feeds the per-block min dl; segments store no
+    dl stream.  With ``positions_dir``, the input rows carry ``poss``
+    and the block's position rows (POS_SCHEMA) are written there as a
+    side output; the returned segment rows are the same either way."""
 
     def merge_sorted_block(tbl: pa.Table) -> pa.Table:
         if tbl.num_rows == 0:
@@ -598,7 +669,7 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
         t_end = t_start + ppt
         b_end = b_start + blocks_per_t
         terms = _first_strings(tbl.column("term"), grp_of_row, G, tid[g_start_row])
-        return pa.table(
+        seg = pa.table(
             {
                 "term": pa.array(terms, type=pa.string()),
                 "tid": pa.array(tid[g_start_row]),
@@ -635,6 +706,18 @@ def make_merge_sorted(block_size: int = 128, decode=_decode_run_block):
             },
             schema=SEGMENT_SCHEMA,
         )
+        if positions_dir is not None:
+            _write_positions(positions_dir, pa.table(
+                {
+                    "term": seg["term"], "tid": seg["tid"],
+                    "d0": pa.array(doc_s[t_start], type=pa.int64()),
+                    "df": seg["df"], "doc_ids": seg["doc_ids"], "tfs": seg["tfs"],
+                    "poss": _merged_poss(tbl.column("poss"), g_start_row, tf,
+                                         None if ordered else order, t_start),
+                },
+                schema=POS_SCHEMA,
+            ))
+        return seg
 
     return merge_sorted_block
 
@@ -649,8 +732,10 @@ def make_merge_partial(salt_range: int):
     in the (tid, d0)-sorted block without salt being a sort key."""
 
     def merge_partial(tbl: pa.Table) -> pa.Table:
+        positions = "poss" in tbl.column_names
+        schema = RUN_POS_SCHEMA if positions else RUN_SCHEMA
         if tbl.num_rows == 0:
-            return RUN_SCHEMA.empty_table()
+            return schema.empty_table()
         tid = tbl.column("tid").to_numpy()
         salt = tbl.column("d0").to_numpy() // salt_range
         df, doc, tf, dl, in_tbuf, in_lbuf = _decode_run_block(tbl)
@@ -705,6 +790,10 @@ def make_merge_partial(salt_range: int):
             )
         else:
             terms = pa.array([None] * G, type=pa.string())
+        poss = {}
+        if positions:
+            poss["poss"] = _merged_poss(tbl.column("poss"), g_start_row, tf,
+                                        None if ordered else order, t_start)
         return pa.table(
             {
                 "tid": pa.array(tid[g_start_row]),
@@ -723,14 +812,17 @@ def make_merge_partial(salt_range: int):
                     [lbuf[loff[a]:loff[b]] for a, b in zip(t_start, t_end)],
                     type=pa.binary(),
                 ),
+                **poss,
             },
-            schema=RUN_SCHEMA,
+            schema=schema,
         )
 
     return merge_partial
 
 
-def make_compact_merge(block_size: int, norms: str, norms_lo: int):
+def make_compact_merge(
+    block_size: int, norms: str, norms_lo: int, positions_dir: str | None = None
+):
     """Whole-partition merge kernel for COMPACTION: fold each term's
     SEGMENT_SCHEMA rows (one per source group) into one row.  It is the
     build's :func:`make_merge_sorted` fed by :func:`_decode_segment_block`:
@@ -742,11 +834,14 @@ def make_compact_merge(block_size: int, norms: str, norms_lo: int):
     merged group's norms array (``norms``, base id ``norms_lo``).
     Input must arrive sorted by (tid, d0) with tid-only partition
     boundaries; source groups that interleave doc ranges take the
-    kernel's lexsort fallback."""
+    kernel's lexsort fallback.  An index with positions feeds the
+    sources' POS_SCHEMA rows instead (they carry the segment streams);
+    the merged position rows go to ``positions_dir``."""
     merge = make_merge_sorted(
         block_size,
         functools.partial(_decode_segment_block, block_size=block_size,
                           norms=norms, norms_lo=norms_lo),
+        positions_dir,
     )
 
     # own name so the Ray Data operator reads MapBatches(compact_block),

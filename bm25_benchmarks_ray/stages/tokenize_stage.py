@@ -176,7 +176,10 @@ class TokenizeRuns:
 
     Each batch also writes its (doc_id, dl) pairs under ``norms_parts``
     as one part file — the group's norms come from this pass, not a
-    second one (state/norms.py).
+    second one (state/norms.py).  Under ``IndexConfig(positions=True)``
+    each run also carries its postings' kept-stream positions
+    (``poss``, stages.segments.RUN_POS_SCHEMA), read off the same token
+    stream.
     """
 
     SEEN_CAP = 4_000_000
@@ -190,6 +193,7 @@ class TokenizeRuns:
 
         self.inner = TokenizePostings(config)
         self.salt_range = config.salt_range
+        self.positions = config.positions
         self.norms_parts = norms_parts
         # one nonce per pipeline (driver-side, shared by every task of
         # this instance); fresh instance = fresh first-sight scope,
@@ -211,7 +215,7 @@ class TokenizeRuns:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..functions.codec import varint_encode, varint_nbytes
-        from .segments import RUN_SCHEMA, term_ids
+        from .segments import RUN_POS_SCHEMA, RUN_SCHEMA, term_ids
 
         # tokenize straight into a dictionary-encoded flat stream (no
         # per-doc Counter: tf counting falls out of the (term, doc)
@@ -259,10 +263,10 @@ class TokenizeRuns:
             )
             gaps[t_starts] = doc_s[t_starts].astype(np.uint64)
 
-        def encode_sliced(vals: np.ndarray) -> list[bytes]:
+        def encode_sliced(vals: np.ndarray, bnds: np.ndarray = bounds) -> list[bytes]:
             buf = varint_encode(vals)
             ends = np.cumsum(varint_nbytes(vals))
-            byte_bounds = np.concatenate(([0], ends))[bounds]
+            byte_bounds = np.concatenate(([0], ends))[bnds]
             return [
                 buf[byte_bounds[i] : byte_bounds[i + 1]] for i in range(n_terms)
             ]
@@ -270,6 +274,23 @@ class TokenizeRuns:
         doc_bufs = encode_sliced(gaps)
         tf_bufs = encode_sliced(tf_s)
         dl_bufs = encode_sliced(dl_s)
+        cols = {}
+        if self.positions:
+            # each occurrence's position in its doc's kept stream (the
+            # stream is doc-major); the (term, doc) sort above is stable,
+            # so a posting's positions ascend.  Stored per posting:
+            # first absolute, then deltas — self-contained, so merges
+            # splice or regroup postings without re-basing
+            pos = np.arange(c0.size) - (np.cumsum(doc_lens) - doc_lens)[doc_of]
+            p0 = pos[order0]
+            gp = np.diff(p0, prepend=0)
+            if c0.size:
+                gp[run_starts] = p0[run_starts]
+            cols["poss"] = pa.array(
+                encode_sliced(gp.astype(np.uint64),
+                              np.searchsorted(c0, np.arange(n_terms + 1))),
+                type=pa.binary(),
+            )
 
         df_per_term = np.diff(bounds)
         d0 = doc_s[t_starts] if doc_s.size else np.empty(0, np.int64)
@@ -290,6 +311,7 @@ class TokenizeRuns:
                 "doc_ids": pa.array(doc_bufs, type=pa.binary()),
                 "tfs": pa.array(tf_bufs, type=pa.binary()),
                 "dls": pa.array(dl_bufs, type=pa.binary()),
+                **cols,
             },
-            schema=RUN_SCHEMA,
+            schema=RUN_POS_SCHEMA if self.positions else RUN_SCHEMA,
         )

@@ -164,12 +164,13 @@ def test_cli_phrase_and_boolq(ray_session, tmp_path):
                   "text": pa.array(texts)}), docs)
     idx = str(tmp_path / "idx")
     assert cli.main(["index", "--input", docs, "--index", idx,
-                     "--mode", "documents", "--stemmer", "none"]) == 0
+                     "--mode", "documents", "--stemmer", "none",
+                     "--positions"]) == 0
 
     qf = tmp_path / "phrases.tsv"
     qf.write_text("p0\talpha beta\n")
     out = str(tmp_path / "phrase.tsv")
-    assert cli.main(["phrase", "--index", idx, "--docs", docs,
+    assert cli.main(["phrase", "--index", idx,
                      "--queries", str(qf), "--output", out]) == 0
     res = pd.read_csv(out, sep="\t")
     # doc 0 ("alpha beta ...") and doc 2 ("alpha the beta" — stopword
@@ -177,7 +178,7 @@ def test_cli_phrase_and_boolq(ray_session, tmp_path):
     assert set(res["doc_id"]) == {0, 2}
 
     qf.write_text("n0\talpha gamma\n")
-    assert cli.main(["phrase", "--index", idx, "--docs", docs,
+    assert cli.main(["phrase", "--index", idx,
                      "--queries", str(qf), "--gap", "2",
                      "--output", out]) == 0
     res = pd.read_csv(out, sep="\t")

@@ -105,7 +105,7 @@ def test_append_then_compact(ray_session, tmp_path):
     assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())
 
 
-def _holed_compacted_index(tmp_path):
+def _holed_compacted_index(tmp_path, cfg: IndexConfig = IndexConfig()):
     """Docs 0..199 plus an append of docs 1000..1199, compacted into one
     group whose id space has a hole: it records no contiguous range."""
     import pyarrow.compute as pc
@@ -119,8 +119,8 @@ def _holed_compacted_index(tmp_path):
     pq.write_table(lo, a)
     pq.write_table(hi, b)
     idx = str(tmp_path / "idx")
-    build_index(a, idx, IndexConfig(), mode="documents", fresh=True)
-    append_index(b, idx, IndexConfig())
+    build_index(a, idx, cfg, mode="documents", fresh=True)
+    append_index(b, idx, cfg)
     return idx, compact_index(idx)
 
 
@@ -158,18 +158,19 @@ def test_holed_empty_result_keeps_columns(ray_session, tmp_path):
 
 
 def test_holed_compaction_ranks_as_union_build(ray_session, tmp_path):
-    """search(), BM25Server and the re-tokenize phrase path over the
-    holed compacted index rank exactly as a fresh build of the union."""
+    """search(), BM25Server and the phrase path (positions merged by the
+    compaction) over the holed compacted index rank exactly as a fresh
+    build of the union."""
     from bm25_benchmarks_ray.pipelines.phrase import phrase_topk
     from bm25_benchmarks_ray.pipelines.serve import BM25Server
 
-    idx, _ = _holed_compacted_index(tmp_path)
+    cfg = IndexConfig(positions=True)
+    idx, _ = _holed_compacted_index(tmp_path, cfg)
     docs = _holed_docs()
     dpath = str(tmp_path / "union_docs.parquet")
     pq.write_table(docs, dpath)
     union = str(tmp_path / "union_idx")
-    build_index(dpath, union, IndexConfig(), mode="documents", n_groups=1,
-                fresh=True)
+    build_index(dpath, union, cfg, mode="documents", n_groups=1, fresh=True)
     qs = MATCHING + [("q3", "table query join scan")]
     key = ["qid", "rank"]
 
@@ -182,8 +183,8 @@ def test_holed_compaction_ranks_as_union_build(ray_session, tmp_path):
         assert a.equals(b) and len(a) > 0
         with BM25Server(idx, join_back=False) as srv:
             assert ranked(srv.search(qs, k=k)).equals(b)
-    pa_ = phrase_topk(idx, dpath, [("p0", "scan window")], positions="off")
-    pb = phrase_topk(union, dpath, [("p0", "scan window")], positions="off")
+    pa_ = phrase_topk(idx, [("p0", "scan window")])
+    pb = phrase_topk(union, [("p0", "scan window")])
     assert pa_.num_rows > 0
     assert pa_.column("doc_id").to_pylist() == pb.column("doc_id").to_pylist()
 

@@ -34,7 +34,8 @@ def cased(ray_session, tmp_path):
         "text": pa.array(TEXTS, type=pa.string()),
     }), p)
     idx = str(tmp_path / "index")
-    build_index(p, idx, IndexConfig(lower=False), mode="documents")
+    build_index(p, idx, IndexConfig(lower=False, positions=True),
+                mode="documents")
     return idx, p
 
 
@@ -54,14 +55,20 @@ def test_boolean_reads_text_as_indexed(cased):
 
 
 def test_phrase_reads_text_as_indexed(cased):
-    from bm25_benchmarks_ray.pipelines.positions import build_positions
+    """"Ray Data" matches docs 0 and 2 only ("ray data" is other terms);
+    scores are the virtual-term BM25 of one occurrence each (df 2 of 3
+    docs, dl 3 and 4 — "and" is a stopword)."""
+    from bm25_benchmarks_ray.functions.bm25 import BM25Params, idf, tf_shape
 
-    idx, docs = cased
-    off = phrase_topk(idx, docs, [("q", "Ray Data")], positions="off")
-    assert set(off.column("doc_id").to_pylist()) == {0, 2}
-    build_positions(idx, docs)
-    forced = phrase_topk(idx, docs, [("q", "Ray Data")], positions="force")
-    assert _scores(forced) == _scores(off)
+    idx, _ = cased
+    params, avgdl = BM25Params(), (3 + 3 + 4) / 3
+    w = float(idf(params, 2, 3))
+    want = {d: round(w * float(tf_shape(params, np.array([1]),
+                                        np.array([dl]), avgdl)[0]), 6)
+            for d, dl in ((0, 3), (2, 4))}
+    got = _scores(phrase_topk(idx, [("q", "Ray Data")]))
+    assert set(got) == {0, 2}
+    assert all(abs(got[d] - want[d]) < 1e-6 for d in want)
 
 
 def test_snippets_read_text_as_indexed(cased):
@@ -89,7 +96,7 @@ def test_one_manifest_load_per_call(cased, monkeypatch):
         "bool_and_topk": lambda: bool_and_topk(idx, [("q", "Ray Data")]),
         "bool_query_topk": lambda: bool_query_topk(
             idx, [("q", "Ray", "Data", "Serve")]),
-        "phrase_topk": lambda: phrase_topk(idx, docs, [("q", "Ray Data")]),
+        "phrase_topk": lambda: phrase_topk(idx, [("q", "Ray Data")]),
         "snippet_topk": lambda: snippet_topk(idx, docs, [("q", "Ray")]),
     }
     for name, call in calls.items():

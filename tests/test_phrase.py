@@ -102,7 +102,8 @@ def corpus(ray_session, tmp_path_factory):
         p,
     )
     idx = str(tmp_path_factory.mktemp("pidx") / "index")
-    build_index(p, idx, IndexConfig(stopwords="en", stemmer="none"),
+    build_index(p, idx, IndexConfig(stopwords="en", stemmer="none",
+                                    positions=True),
                 mode="documents", n_groups=3)
     return idx, p, texts
 
@@ -137,9 +138,9 @@ def test_candidate_bitmap_oov_is_empty(corpus):
     "gamma",                 # single-term degenerate
 ])
 def test_phrase_topk_matches_python_reference(corpus, phrase):
-    idx, p, texts = corpus
+    idx, _, texts = corpus
     params = BM25Params(method="lucene")
-    got = phrase_topk(idx, p, [("q", phrase)], k=10, params=params).to_pandas()
+    got = phrase_topk(idx, [("q", phrase)], k=10, params=params).to_pandas()
     want = _py_phrase_topk(texts, phrase, params, k=10)
     assert len(got) == len(want)
     assert list(got["doc_id"]) == [d for d, _ in want]
@@ -150,15 +151,15 @@ def test_phrase_topk_matches_python_reference(corpus, phrase):
 def test_phrase_stopword_transparent_doc_side(corpus):
     """'alpha beta' matches doc 7's 'alpha the beta' — removed stopwords
     leave no position gap (module semantics contract)."""
-    idx, p, texts = corpus
-    got = phrase_topk(idx, p, [("q", "alpha beta")], k=200).to_pandas()
+    idx, _, texts = corpus
+    got = phrase_topk(idx, [("q", "alpha beta")], k=200).to_pandas()
     assert 7 in set(got["doc_id"])
 
 
 def test_phrase_overlapping_occurrences(corpus):
     """'kappa kappa kappa' contains 'kappa kappa' twice (overlap)."""
-    idx, p, texts = corpus
-    got = phrase_topk(idx, p, [("q", "kappa kappa")], k=200).to_pandas()
+    idx, _, texts = corpus
+    got = phrase_topk(idx, [("q", "kappa kappa")], k=200).to_pandas()
     row = got[got["doc_id"] == 11]
     assert len(row) == 1
     ref = _py_phrase_counts(texts, ["kappa", "kappa"])
@@ -166,18 +167,18 @@ def test_phrase_overlapping_occurrences(corpus):
 
 
 def test_phrase_oov_and_empty(corpus):
-    idx, p, _ = corpus
-    assert phrase_topk(idx, p, [("q", "alpha zzmissing")], k=10).num_rows == 0
-    assert phrase_topk(idx, p, [("q", "the of")], k=10).num_rows == 0
+    idx, _, _ = corpus
+    assert phrase_topk(idx, [("q", "alpha zzmissing")], k=10).num_rows == 0
+    assert phrase_topk(idx, [("q", "the of")], k=10).num_rows == 0
 
 
 def test_phrase_multi_query_batch(corpus):
-    """Several phrases share one phase-2 pass; results match the
+    """Several phrases share one positions read; results match the
     per-phrase runs exactly."""
-    idx, p, texts = corpus
+    idx, _, texts = corpus
     params = BM25Params(method="lucene")
     batch = phrase_topk(
-        idx, p,
+        idx,
         [("a", "alpha beta"), ("b", "kappa kappa"), ("c", "zz nope")],
         k=5, params=params,
     ).to_pandas()
@@ -198,10 +199,11 @@ def test_phrase_stemmed_matching(ray_session, tmp_path_factory):
         pa.table({"doc_id": pa.array([0, 1, 2], type=pa.int64()),
                   "text": pa.array(texts)}), p)
     idx = str(tmp_path_factory.mktemp("sidx") / "index")
-    build_index(p, idx, IndexConfig(stopwords="en", stemmer="snowball"),
+    build_index(p, idx, IndexConfig(stopwords="en", stemmer="snowball",
+                                    positions=True),
                 mode="documents", n_groups=1)
     st = resolve_stemmer("snowball")
-    got = phrase_topk(idx, p, [("q", "running jumps")], k=10).to_pandas()
+    got = phrase_topk(idx, [("q", "running jumps")], k=10).to_pandas()
     want = _py_phrase_topk(texts, "running jumps", BM25Params(), k=10,
                            stemmer=st)
     assert list(got["doc_id"]) == [dd for dd, _ in want]
@@ -276,10 +278,10 @@ def _py_near_counts(texts, toks, gap, stemmer=None):
 
 
 def test_near_gap1_equals_phrase(corpus):
-    idx, p, _ = corpus
+    idx, _, _ = corpus
     for phrase in ("alpha beta", "kappa kappa", "gamma"):
-        a = phrase_topk(idx, p, [("q", phrase)], k=50, gap=1).to_pandas()
-        b = phrase_topk(idx, p, [("q", phrase)], k=50).to_pandas()
+        a = phrase_topk(idx, [("q", phrase)], k=50, gap=1).to_pandas()
+        b = phrase_topk(idx, [("q", phrase)], k=50).to_pandas()
         assert list(a["doc_id"]) == list(b["doc_id"])
         assert np.allclose(a["score"], b["score"])
 
@@ -291,8 +293,8 @@ def test_near_gap1_equals_phrase(corpus):
     ("kappa kappa", 2),       # repeated term, windowed
 ])
 def test_near_matches_python_reference(corpus, phrase, gap):
-    idx, p, texts = corpus
-    got = phrase_topk(idx, p, [("q", phrase)], k=300, gap=gap).to_pandas()
+    idx, _, texts = corpus
+    got = phrase_topk(idx, [("q", phrase)], k=300, gap=gap).to_pandas()
     toks = tokenize_text(phrase, stopwords=STOPWORDS_EN, stemmer=None)
     want = _py_near_counts(texts, toks, gap)
     assert set(got["doc_id"]) == set(want)
@@ -320,18 +322,19 @@ def test_near_nongreedy_chain(ray_session, tmp_path_factory):
         pa.table({"doc_id": pa.array([0, 1], type=pa.int64()),
                   "text": pa.array(texts)}), p)
     idx = str(tmp_path_factory.mktemp("nidx") / "index")
-    build_index(p, idx, IndexConfig(stopwords="en", stemmer="none"),
+    build_index(p, idx, IndexConfig(stopwords="en", stemmer="none",
+                                    positions=True),
                 mode="documents", n_groups=1)
-    got = phrase_topk(idx, p, [("q", "zeta eta theta")], k=10,
+    got = phrase_topk(idx, [("q", "zeta eta theta")], k=10,
                       gap=2).to_pandas()
     # doc 0 matches only via the farther eta; doc 1's theta is 3 past eta
     assert list(got["doc_id"]) == [0]
 
 
 def test_near_gap_validation(corpus):
-    idx, p, _ = corpus
+    idx, _, _ = corpus
     with pytest.raises(ValueError):
-        phrase_topk(idx, p, [("q", "alpha beta")], gap=0)
+        phrase_topk(idx, [("q", "alpha beta")], gap=0)
 
 
 # ---------------------------------------------------------------------
@@ -473,7 +476,7 @@ def test_near_randomized_sweep(corpus):
     """Randomized hardening of the chain-DP: many (phrase, gap) combos
     over the module corpus, each checked doc-for-doc against the
     exhaustive-recursion reference (exists-semantics start counts)."""
-    idx, p, texts = corpus
+    idx, _, texts = corpus
     rng = np.random.RandomState(7)
     base = ["alpha", "beta", "gamma", "kappa", "zeta", "eta"]
     combos = []
@@ -482,7 +485,7 @@ def test_near_randomized_sweep(corpus):
         toks = [base[i] for i in rng.randint(0, len(base), size=n)]
         combos.append((" ".join(toks), int(rng.randint(2, 5))))
     for phrase, gap in combos:
-        got = phrase_topk(idx, p, [("q", phrase)], k=500,
+        got = phrase_topk(idx, [("q", phrase)], k=500,
                           gap=gap).to_pandas()
         toks = tokenize_text(phrase, stopwords=STOPWORDS_EN, stemmer=None)
         want = _py_near_counts(texts, toks, gap)

@@ -97,6 +97,25 @@ def test_delete_out_of_range_raises(built):
         delete_docs(idx, np.array([N_TURNS]))
 
 
+def test_delete_checks_index_id_space(ray_session, tmp_path):
+    """Ids are checked against the groups' id ranges, not [0, num_docs):
+    on a 400-doc index with ids 1000..1399, 1200 is deleted and 5 (no
+    doc of the index) raises."""
+    t = synthesize_transcripts(400, seed=3)
+    docs = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(1000, 1400, dtype=np.int64)),
+        "text": t.column("text").slice(0, 400),
+    }), docs)
+    idx = str(tmp_path / "index")
+    build_index(docs, idx, IndexConfig(), mode="documents")
+    assert delete_docs(idx, [1200]) == 1
+    assert list(load_tombstones(idx)) == [1200]
+    with pytest.raises(ValueError, match="id space"):
+        delete_docs(idx, [5])
+    assert list(load_tombstones(idx)) == [1200]
+
+
 def test_delete_composes_with_user_filter(built):
     idx, oracle = built
     delete_docs(idx, DELETED)
@@ -178,12 +197,10 @@ def test_tombstones_survive_compaction(built):
         )
 
 
-@pytest.mark.parametrize("positions", ["off", "force"])
-def test_phrase_honors_tombstones(ray_session, tmp_path, positions):
-    """Deleted docs never rank on either phrase path; the phrase df
-    still counts them, so the live docs keep their scores."""
+def test_phrase_honors_tombstones(ray_session, tmp_path):
+    """Deleted docs never rank on the phrase path; the phrase df still
+    counts them, so the live docs keep their scores."""
     from bm25_benchmarks_ray.pipelines.phrase import phrase_topk
-    from bm25_benchmarks_ray.pipelines.positions import build_positions
 
     texts = ["big query engine", "a big query here", "small data",
              "big query big query"]
@@ -193,11 +210,10 @@ def test_phrase_honors_tombstones(ray_session, tmp_path, positions):
         "text": pa.array(texts, type=pa.string()),
     }), docs)
     idx = str(tmp_path / "index")
-    build_index(docs, idx, IndexConfig(), mode="documents")
-    build_positions(idx, docs)
+    build_index(docs, idx, IndexConfig(positions=True), mode="documents")
 
     def scores() -> dict[int, float]:
-        t = phrase_topk(idx, docs, [("q", "big query")], positions=positions)
+        t = phrase_topk(idx, [("q", "big query")])
         return dict(zip(t.column("doc_id").to_pylist(),
                         t.column("score").to_pylist()))
 
