@@ -155,9 +155,17 @@ def test_positions_path_equals_fallback(poscorpus, gap):
     _assert_matches_reference(idx, texts, QUERIES, gap)
 
 
-def test_phrase_duplicate_qids_raise(poscorpus):
-    """Queries are keyed by qid: duplicates are rejected up front."""
-    idx, _, _ = poscorpus
+@pytest.mark.parametrize("positions", ["force", "off"])
+def test_phrase_duplicate_qids_raise(poscorpus, tmp_path, positions):
+    """Queries are keyed by qid: duplicates are rejected up front, before
+    the index is read — on an index built with positions ("force") and
+    on one built without them ("off"), where the duplicate error comes
+    ahead of the missing-positions error."""
+    idx, d, _ = poscorpus
+    if positions == "off":
+        idx = str(tmp_path / "plain")
+        build_index(d, idx, IndexConfig(stopwords="en", stemmer="none"),
+                    mode="documents", n_groups=1)
     queries = [("q0", "alpha beta"), ("q1", "table scan"),
                ("q0", "beta gamma")]
     with pytest.raises(ValueError, match="duplicate phrase qids.*q0"):

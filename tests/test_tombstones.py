@@ -197,9 +197,12 @@ def test_tombstones_survive_compaction(built):
         )
 
 
-def test_phrase_honors_tombstones(ray_session, tmp_path):
+@pytest.mark.parametrize("positions", ["force", "off"])
+def test_phrase_honors_tombstones(ray_session, tmp_path, positions):
     """Deleted docs never rank on the phrase path; the phrase df still
-    counts them, so the live docs keep their scores."""
+    counts them, so the live docs keep their scores.  On an index built
+    without positions ("off") the phrase path ranks nothing, before or
+    after the delete: it raises, naming IndexConfig(positions=True)."""
     from bm25_benchmarks_ray.pipelines.phrase import phrase_topk
 
     texts = ["big query engine", "a big query here", "small data",
@@ -210,13 +213,22 @@ def test_phrase_honors_tombstones(ray_session, tmp_path):
         "text": pa.array(texts, type=pa.string()),
     }), docs)
     idx = str(tmp_path / "index")
-    build_index(docs, idx, IndexConfig(positions=True), mode="documents")
+    build_index(docs, idx, IndexConfig(positions=positions == "force"),
+                mode="documents")
 
     def scores() -> dict[int, float]:
         t = phrase_topk(idx, [("q", "big query")])
         return dict(zip(t.column("doc_id").to_pylist(),
                         t.column("score").to_pylist()))
 
+    if positions == "off":
+        no_pos = r"IndexConfig\(positions=True\)"
+        with pytest.raises(ValueError, match=no_pos):
+            scores()
+        assert delete_docs(idx, [1]) == 1
+        with pytest.raises(ValueError, match=no_pos):
+            scores()
+        return
     before = scores()
     assert set(before) == {0, 1, 3}
     delete_docs(idx, [1])
