@@ -147,7 +147,8 @@ def cmd_index(args) -> int:
         if mode != "documents":
             raise SystemExit("--append requires --mode documents "
                              "(transcripts ids are global ranks)")
-        man = append_index(source, args.index, cfg)
+        # the index's own config: the config flags do not apply
+        man = append_index(source, args.index)
     else:
         man = build_index(source, args.index, cfg, mode=mode, fresh=args.fresh)
     print(json.dumps({"index": args.index, "stats": man.stats,
@@ -440,7 +441,9 @@ def main(argv=None) -> int:
     p.add_argument("--fresh", action="store_true")
     p.add_argument("--append", action="store_true",
                    help="add --input as new segment groups to an existing "
-                        "documents-mode index (Lucene-style segment append)")
+                        "documents-mode index (Lucene-style segment append), "
+                        "with the index's own config (the config flags "
+                        "are ignored)")
     _common_index_args(p)
     p.set_defaults(fn=cmd_index)
 

@@ -66,9 +66,9 @@ class IndexConfig:
     def tokenizer_kwargs(self) -> dict:
         return {"stopwords": self.stopwords, "stemmer": self.stemmer, "lower": self.lower}
 
-    def fingerprint(self) -> str:
-        """Hash of the semantic config — physical knobs excluded, so a
-        resume with different batch sizes still matches."""
+    def semantic(self) -> dict:
+        """The fields that change what an index holds — physical knobs
+        excluded, so a resume with different batch sizes still matches."""
         sem = {
             "stopwords": self.stopwords,
             "stemmer": self.stemmer,
@@ -80,7 +80,18 @@ class IndexConfig:
         }
         if self.positions:  # absent when off: such indexes keep their fingerprint
             sem["positions"] = True
-        return hashlib.sha256(json.dumps(sem, sort_keys=True).encode()).hexdigest()[:16]
+        return sem
+
+    def fingerprint(self) -> str:
+        """Hash of the semantic config (``semantic``)."""
+        return hashlib.sha256(
+            json.dumps(self.semantic(), sort_keys=True).encode()).hexdigest()[:16]
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "IndexConfig":
+        """The config a manifest records (``to_dict``); keys this
+        version does not know are ignored."""
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -29,7 +29,11 @@ Shards are the only mask form the scorers read: ``search`` and
 ``serve.BM25Server`` compose every filter, tombstone set and boolean
 eligibility bitmap into them (``query.compose_masks``), which needs
 the manifest's per-group doc ranges (every index this engine writes
-records them).
+records them).  Building shards never needs the corpus-wide array on
+the driver either: ``compose_shards`` holds one group's slice at a
+time, and ``allowed_shards`` holds at most the slices of the groups its
+ids touch — the matched id span's bitmap, ≤ ``id_bound/8`` bytes — with
+no shuffle of the packed chunks.
 """
 
 from __future__ import annotations
@@ -94,7 +98,9 @@ class BitmapShards:
 
     The instance itself is tiny (three int64 arrays + refs) and rides
     inside the broadcast query plan; Ray tracks the nested refs, and a
-    task's ``ray.get`` of one ref moves only that slice.
+    task's ``ray.get`` of one ref moves only that slice.  ``deleted``
+    records which tombstones were cleared from the slices, so composing
+    them with the same tombstones again (``compose_shards``) is free.
     """
 
     doc_lo: np.ndarray   # int64, sorted ascending, disjoint ranges
@@ -102,6 +108,9 @@ class BitmapShards:
     byte_lo: np.ndarray  # == doc_lo >> 3
     refs: list
     id_bound: int        # the doc-id space [0, id_bound) the shards cut
+    # the tombstone ids (the array object) these shards already exclude;
+    # None: none were cleared
+    deleted: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def shard_index(self, lo: int, hi: int) -> int:
@@ -125,17 +134,6 @@ class BitmapShards:
         base = int(self.byte_lo[i]) << 3
         return bitmap_slice(buf, lo - base, hi - base)
 
-    @classmethod
-    def from_slices(cls, ranges: list[tuple[int, int]], slices,
-                    id_bound: int) -> "BitmapShards":
-        """``ranges``: sorted disjoint (doc_lo, doc_hi) per group;
-        ``slices``: matching uint8 byte arrays, ``ray.put`` here."""
-        lo = np.asarray([r[0] for r in ranges], dtype=np.int64)
-        hi = np.asarray([r[1] for r in ranges], dtype=np.int64)
-        refs = [ray.put(np.ascontiguousarray(s, dtype=np.uint8))
-                for s in slices]
-        return cls(lo, hi, lo >> 3, refs, int(id_bound))
-
 
 def shard_byte_span(doc_lo: int, doc_hi: int) -> tuple[int, int]:
     return doc_lo >> 3, (doc_hi + 7) >> 3
@@ -152,7 +150,10 @@ def compose_shards(
     One group at a time (driver peak memory = one group's slice):
     start from the user filter's bytes for the group — a slice view of
     a full bitmap, or a fetch of the user's own shard — default
-    all-ones; clear ``deleted_ids`` (tombstones) bits; ``ray.put``.
+    all-ones; clear ``deleted_ids`` (tombstones) bits; ``ray.put`` it
+    before the next group.  User shards over the same ranges that
+    already exclude the same ``deleted_ids`` array (``BitmapShards.
+    deleted``, e.g. this function's own output) are returned as is.
     Bits outside a group's doc range (boundary-byte padding) are never
     read, so they are left as-is.  A user mask must span the index's
     doc-id space [0, id_bound).
@@ -171,10 +172,16 @@ def compose_shards(
                 f"{bitmap_nbytes(id_bound)} for doc ids [0, {id_bound})"
             )
     ranges = sorted(ranges)
+    lo = np.asarray([r[0] for r in ranges], dtype=np.int64)
+    hi = np.asarray([r[1] for r in ranges], dtype=np.int64)
+    if (isinstance(user, BitmapShards) and user.deleted is deleted_ids
+            and np.array_equal(user.doc_lo, lo)
+            and np.array_equal(user.doc_hi, hi)):
+        return user  # already composed with exactly these tombstones
     # sorted once: each group's ids are one searchsorted span
     deleted = (np.sort(np.asarray(deleted_ids, dtype=np.int64))
                if deleted_ids is not None else None)
-    out: list[np.ndarray] = []
+    refs = []
     for g_lo, g_hi in ranges:
         b0, b1 = shard_byte_span(g_lo, g_hi)
         if user is None:
@@ -195,8 +202,9 @@ def compose_shards(
                     np.bitwise_not(
                         np.uint8(1) << (d & 7).astype(np.uint8)),
                 )
-        out.append(buf)
-    return BitmapShards.from_slices(ranges, out, id_bound)
+        refs.append(ray.put(buf))
+    return BitmapShards(lo, hi, lo >> 3, refs, int(id_bound),
+                        deleted=deleted_ids)
 
 
 def allowed_shards(
@@ -205,56 +213,40 @@ def allowed_shards(
     ranges: list[tuple[int, int]],
     id_col: str = "doc_id",
 ) -> BitmapShards:
-    """Distributed predicate → published shards, with NO corpus-wide
-    array on the driver.  Tasks pack their id batches into byte chunks
-    (as ``allowed_bitmap``), the tiny chunk table is sorted by
-    ``byte_lo`` (an all-to-all over bitmap-sized data, once), and the
-    driver streams it in byte order, OR-ing into the current group's
-    slice and ``ray.put``-flushing each group the moment the stream
-    passes its last byte — peak driver memory is one group's slice.
-    ``id_bound``: the index's ``Index.id_bound``."""
+    """Distributed predicate → published shards.  Tasks pack their id
+    batches into byte chunks (as ``allowed_bitmap``); the driver ORs
+    each chunk, in whatever order the chunks arrive, into the slices of
+    the groups it overlaps (a chunk may cross group boundaries), then
+    ``ray.put``s every group's slice once.  No shuffle runs, and the
+    driver holds only the slices of the groups the ids touch: at most
+    the matched id span's bitmap, ≤ ``id_bound/8`` bytes.  ``id_bound``:
+    the index's ``Index.id_bound``."""
     ranges = sorted(ranges)
-    packed = _pack_chunks(ids, id_bound, id_col).sort("byte_lo")
-
     lo_a = np.asarray([r[0] for r in ranges], dtype=np.int64)
     hi_a = np.asarray([r[1] for r in ranges], dtype=np.int64)
+    spans = [shard_byte_span(*r) for r in ranges]
     bufs: dict[int, np.ndarray] = {}
-    refs: dict[int, object] = {}
-    open_gs: list[int] = []
-
-    def flush_until(byte_pos: int) -> None:
-        while open_gs and shard_byte_span(*ranges[open_gs[0]])[1] <= byte_pos:
-            g = open_gs.pop(0)
-            refs[g] = ray.put(bufs.pop(g))
-
-    for b in packed.iter_batches(batch_size=None, batch_format="pyarrow"):
+    for b in _pack_chunks(ids, id_bound, id_col).iter_batches(
+        batch_size=None, batch_format="pyarrow"
+    ):
         for c_lo, buf in zip(b.column("byte_lo").to_pylist(),
                              b.column("buf").to_pylist()):
             chunk = np.frombuffer(buf, dtype=np.uint8)
-            flush_until(c_lo)
-            # a chunk's doc span may cross group boundaries: distribute
-            # its bytes into every overlapping group slice
-            g0 = int(np.searchsorted(hi_a, (c_lo << 3), side="right"))
-            g1 = int(np.searchsorted(lo_a, (c_lo + chunk.size) << 3))
+            c_hi = c_lo + chunk.size
+            g0 = int(np.searchsorted(hi_a, c_lo << 3, side="right"))
+            g1 = int(np.searchsorted(lo_a, c_hi << 3))
             for g in range(g0, g1):
-                b0, b1 = shard_byte_span(*ranges[g])
+                b0, b1 = spans[g]
+                s0, s1 = max(c_lo, b0), min(c_hi, b1)
                 if g not in bufs:
                     bufs[g] = np.zeros(b1 - b0, dtype=np.uint8)
-                    open_gs.append(g)
-                    open_gs.sort()
-                s0 = max(c_lo, b0)
-                s1 = min(c_lo + chunk.size, b1)
-                if s1 > s0:
-                    bufs[g][s0 - b0 : s1 - b0] |= chunk[s0 - c_lo : s1 - c_lo]
-    flush_until(1 << 62)
-    out_refs = []
-    for g in range(len(ranges)):
-        r = refs.get(g)
-        if r is None:  # group matched no ids: all-zeros shard
-            b0, b1 = shard_byte_span(*ranges[g])
-            r = ray.put(np.zeros(b1 - b0, dtype=np.uint8))
-        out_refs.append(r)
-    return BitmapShards(lo_a, hi_a, lo_a >> 3, out_refs, int(id_bound))
+                bufs[g][s0 - b0 : s1 - b0] |= chunk[s0 - c_lo : s1 - c_lo]
+    refs = []
+    for g, (b0, b1) in enumerate(spans):
+        # a group no id falls in gets an all-zeros shard
+        refs.append(ray.put(bufs.pop(g) if g in bufs
+                            else np.zeros(b1 - b0, dtype=np.uint8)))
+    return BitmapShards(lo_a, hi_a, lo_a >> 3, refs, int(id_bound))
 
 
 def _pack_chunks(ids: rd.Dataset, num_docs: int, id_col: str) -> rd.Dataset:

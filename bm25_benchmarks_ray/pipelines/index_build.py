@@ -584,8 +584,11 @@ def append_index(
     Query-side readers pick the new groups up from the manifest with no
     code path change.
 
+    ``cfg`` defaults to the index's own config, read from its manifest.
+
     Requirements (validated): the index was built with the same config
-    fingerprint, the new files are not already part of the index, and
+    fingerprint (a ``cfg`` that differs raises ``ValueError`` naming the
+    differing fields), the new files are not already part of the index, and
     the new doc_id range does not overlap any existing group's
     [doc_lo, doc_hi) — documents mode carries explicit ids, so
     disjointness is the caller's contract (transcripts mode assigns ids
@@ -599,13 +602,21 @@ def append_index(
     incompleteness is exactly such an interrupted append (every recorded
     group done), is accepted.
     """
-    cfg = cfg or IndexConfig()
     man = Manifest.load(index_dir)
     if man is None or not man.groups or not all(
         e.get("status") == "done" for e in man.groups.values()
     ):
         raise ValueError(f"append_index requires a complete index at {index_dir!r}")
+    own = IndexConfig.from_dict(man.config)
+    cfg = cfg or own
     if man.fingerprint != cfg.fingerprint():
+        sem, want = cfg.semantic(), own.semantic()
+        fields = sorted(f for f in sem.keys() | want.keys()
+                        if sem.get(f) != want.get(f))
+        if fields:
+            raise ValueError(
+                f"config differs from the existing index in {fields}; append "
+                "with the index's own config (cfg=None) or rebuild")
         raise ValueError("config fingerprint differs from the existing index; rebuild")
     files = _input_files(new_source)
     if not files:

@@ -8,11 +8,11 @@ format:
 
 **Conjunctive AND** (``bool_and_topk``) — docs containing ALL query
 terms, ranked by the ordinary BM25 score.  Pure composition: the
-posting-list intersection below builds a packed doc-id bitmap per
-query (pipelines/docfilter.py) and the whole batch goes to ONE
-``search(allowed=[bitmap per query])`` — the filtered-retrieval
-machinery does the rest (mask applied inside the scorers, stats stay
-full-corpus).
+posting-list intersection below builds each query's eligibility as
+per-group bitmap shards (pipelines/docfilter.py) and the whole batch
+goes to ONE ``search(allowed=[shards per query])`` — the
+filtered-retrieval machinery does the rest (mask applied inside the
+scorers, stats stay full-corpus).
 
 **Exact phrase** (``phrase_topk``) — read from the index's positions
 (pipelines/positions.py; an index built with
@@ -48,11 +48,17 @@ driver_api.phrase_topk_sql):
 * a one-term phrase degenerates to that term's plain BM25 score over
   its matching docs.
 
-Scale: the cost is the phrase terms' postings plus ~1 varint per
-occurrence; the counts table is (qid, doc_id, ptf, dl) —
-materialized once for the df aggregate, match-scale, never
-corpus-scale.  The boolean bitmaps have the 10^12-doc sharding story
-documented in pipelines/docfilter.py.
+Scale: every query call here is plain Ray tasks plus a driver merge,
+as in ``search()`` — no Ray Data job.  A phrase batch is one
+``_positions_counts`` task per group (the phrase terms' postings plus
+~1 varint per occurrence); each returns its (query, doc, ptf, dl)
+counts, match-scale, never corpus-scale.  Groups own disjoint docs,
+so the driver sums a phrase's df over the groups' rows, then scores
+and ranks them.  A boolean batch is one ``_group_eligibility`` task per
+group, returning each query's byte slice of that group; the driver
+publishes one group's slices at a time as per-query ``BitmapShards``
+(the 10^12-doc sharding story in pipelines/docfilter.py), so no dense
+corpus-wide bitmap is ever built for a boolean query.
 """
 
 from __future__ import annotations
@@ -63,13 +69,12 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import ray.data as rd
+import ray
 
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, tf_shape
-from .docfilter import bitmap_nbytes, invert_bitmap
+from .docfilter import BitmapShards, bitmap_nbytes, shard_byte_span
 from .query import Index, search
-from .topk import grouped_topk
 
 __all__ = [
     "candidate_bitmap", "phrase_topk", "bool_and_topk", "bool_query_topk",
@@ -90,254 +95,277 @@ def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[ok]
 
 
+@ray.remote
+def _group_eligibility(
+    group_dir: str,
+    span: tuple[int, int],
+    plans: list[tuple[int, list[str], list[str]]],
+    block_size: int,
+    deleted: np.ndarray | None,
+) -> dict[int, np.ndarray]:
+    """Every spec's eligibility over one group: ONE term-pruned segment
+    read of all the specs' terms, each term decoded once into its sorted
+    doc array, then per (spec, must, must_not) plan the docs of
+    ``span`` = [lo, hi) holding ALL ``must`` terms (rarest first; every
+    doc of the span when ``must`` is empty) and NONE of ``must_not``,
+    minus the ``deleted`` ids.  Returns {spec: packed byte slice
+    covering ``span``'s bytes} for the specs some doc of the group
+    satisfies."""
+    from ..stages.segments import decode_segment, segment_rows_by_term
+
+    terms = sorted({t for _, m, n in plans for t in (*m, *n)})
+    rows = segment_rows_by_term(pads.dataset(group_dir).to_table(
+        filter=pc.field("term").isin(terms))) if terms else {}
+    dec: dict[str, np.ndarray | None] = {}
+
+    def docs_of(t: str) -> np.ndarray | None:
+        if t not in dec:
+            # multi-part rows (a term split across sort partitions)
+            # arrive sorted by first doc, so the concat stays ascending
+            parts = [decode_segment(r, block_size)[0] for r in rows.get(t, ())]
+            dec[t] = np.concatenate(parts) if parts else None
+        return dec[t]
+
+    lo, hi = span
+    b0, b1 = shard_byte_span(lo, hi)
+    base = b0 << 3
+    out: dict[int, np.ndarray] = {}
+    for i, must, must_not in plans:
+        cur: np.ndarray | None = None
+        for t in must:
+            d = docs_of(t)
+            cur = d if cur is None or d is None else _intersect_sorted(cur, d)
+            if cur is None or cur.size == 0:
+                break
+        bits = np.zeros((b1 - b0) << 3, dtype=np.uint8)
+        if not must:
+            bits[lo - base: hi - base] = 1
+        elif cur is None or cur.size == 0:
+            continue
+        else:
+            bits[cur - base] = 1
+        for d in [docs_of(t) for t in must_not] + [deleted]:
+            if d is not None:
+                bits[d - base] = 0
+        if bits.any():
+            out[i] = np.packbits(bits, bitorder="little")
+    return out
+
+
 def _postings_bitmaps(
     index: Index,
-    specs: list[tuple[str, list[str] | set[str], str]],
-) -> dict[str, np.ndarray]:
-    """Packed uint8 bitmaps (docfilter layout) over the index's posting
-    lists, for MANY specs in ONE distributed scan.  Each spec is
-    (key, terms, op): docs containing ALL terms (op="and",
-    rarest-df-first sorted intersection) or ANY (op="or", running
-    merge).  Returns {key: bitmap}.
+    specs: list[tuple[list[str], list[str]]],
+    deleted: np.ndarray | None = None,
+) -> list[BitmapShards | None]:
+    """Per-spec eligibility over the index's posting lists, for MANY
+    specs in one scan: each spec (must, must_not) selects the docs
+    containing ALL must terms (every doc when must is empty) and NONE
+    of the must_not terms, nor any of the sorted ``deleted`` ids.
+    Returns, aligned with ``specs``, each spec's ``BitmapShards`` over
+    the index's id space (``Index.id_bound``), or None when no doc is
+    eligible.  Pass the index's tombstones (``Index.deleted``) and the
+    shards record them, so ``search()`` publishes them as they are.
 
-    Batching is the point (a Q-query phrase/boolean batch costs one
-    scheduling round-trip and ONE vocab + segment read per group, not
-    Q): every task reads the UNION of all specs' terms once, decodes
-    each term once into its sorted doc array, then evaluates every
-    spec against the shared decode cache.
+    Batching is the point (a Q-query boolean batch costs one task per
+    group and ONE segment read per group, not Q): one
+    ``_group_eligibility`` task per group evaluates every spec.  The
+    driver fetches one group's slices at a time and ``ray.put``s each
+    as that spec's shard for the group, so its peak is one group's
+    slices, never a dense ``id_bound/8`` array per spec.
 
-    op="and": any term absent from the vocab ⇒ all-zeros (strict
-    conjunction).  op="or": absent terms simply contribute nothing.
-    Bitmaps span the index's id bound (``Index.id_bound``)."""
-    block_size = index.cfg.block_size
-    out: dict[str, np.ndarray] = {
-        key: np.zeros(bitmap_nbytes(index.id_bound), dtype=np.uint8)
-        for key, _, _ in specs
-    }
-    union_terms = sorted({t for _, terms, _ in specs for t in terms})
-    if not union_terms:
-        raise ValueError("postings bitmap needs at least one term")
-    df_map = index.df_of(union_terms)
-    # per-spec evaluation order (AND: rarest df first for early empty)
-    plans: list[tuple[str, list[str], bool]] = []
-    scan_terms: set[str] = set()
-    for key, terms, op in specs:
-        terms = sorted(set(terms))
-        conj = op == "and"
-        if conj and any(t not in df_map for t in terms):
-            continue  # an OOV term can match no doc: stays all-zeros
-        use = [t for t in terms if t in df_map]
-        if not use:
-            continue
-        if conj:
-            use.sort(key=df_map.get)
-        plans.append((key, use, conj))
-        scan_terms.update(use)
+    A must term absent from the vocab empties its spec (strict
+    conjunction); absent must_not terms exclude nothing."""
+    df_map = index.df_of(sorted({t for m, n in specs for t in (*m, *n)}))
+    plans = []
+    for i, (must, must_not) in enumerate(specs):
+        must = sorted(set(must))
+        if all(t in df_map for t in must):
+            plans.append((i, sorted(must, key=df_map.get),
+                          sorted(t for t in set(must_not) if t in df_map)))
+    out: list[BitmapShards | None] = [None] * len(specs)
     if not plans:
         return out
-    use_all = sorted(scan_terms)
-
-    def scan(batch: pa.Table) -> pa.Table:
-        from ..stages.segments import decode_segment, segment_rows_by_term
-
-        key_out: list[str] = []
-        lo_out: list[int] = []
-        buf_out: list[bytes] = []
-        for gd in batch.column("group_dir").to_pylist():
-            seg = pads.dataset(gd).to_table(
-                filter=pc.field("term").isin(use_all)
-            )
-            rbt = segment_rows_by_term(seg)
-            dec: dict[str, np.ndarray] = {}
-
-            def docs_of(t: str) -> np.ndarray | None:
-                d = dec.get(t)
-                if d is None:
-                    rows = rbt.get(t)
-                    if not rows:
-                        return None
-                    # multi-part rows (term split across sort
-                    # partitions) arrive sorted by first doc, so
-                    # concat stays ascending
-                    parts = [decode_segment(r, block_size)[0] for r in rows]
-                    d = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                    dec[t] = d
-                return d
-
-            for key, use, conj in plans:
-                cur: np.ndarray | None = None
-                for t in use:
-                    d = docs_of(t)
-                    if d is None:
-                        if conj:
-                            cur = None
-                            break
-                        continue
-                    if cur is None:
-                        cur = d
-                    elif conj:
-                        cur = _intersect_sorted(cur, d)
-                        if cur.size == 0:
-                            break
-                    else:
-                        cur = np.union1d(cur, d)
-                if cur is None or cur.size == 0:
-                    continue
-                b_lo = int(cur[0]) >> 3
-                bits = np.zeros(
-                    ((int(cur[-1]) >> 3) + 1 - b_lo) << 3, dtype=np.uint8
-                )
-                bits[cur - (b_lo << 3)] = 1
-                key_out.append(key)
-                lo_out.append(b_lo)
-                buf_out.append(
-                    np.packbits(bits, bitorder="little").tobytes()
-                )
-        return pa.table(
-            {"key": pa.array(key_out, type=pa.string()),
-             "byte_lo": pa.array(lo_out, type=pa.int64()),
-             "buf": pa.array(buf_out, type=pa.binary())}
-        )
-
-    items = [{"group_dir": index.group_dir(g)} for g in index.gids]
-    chunks = rd.from_items(items).map_batches(
-        scan, batch_format="pyarrow", batch_size=1
-    )
-    # groups own disjoint doc ranges, so chunk ORs commute
-    for b in chunks.iter_batches(batch_size=None, batch_format="pyarrow"):
-        for key_, lo_, buf in zip(b.column("key").to_pylist(),
-                                  b.column("byte_lo").to_pylist(),
-                                  b.column("buf").to_pylist()):
-            chunk = np.frombuffer(buf, dtype=np.uint8)
-            out[key_][lo_: lo_ + chunk.size] |= chunk
+    # shards are cut by ascending doc range; a group without a recorded
+    # range spans the whole id space (masked search rejects such an
+    # index, but candidate_bitmap ORs the slices all the same)
+    spans = sorted((index.ranges.get(g, (0, index.id_bound)), g)
+                   for g in index.gids)
+    plans_ref = ray.put(plans)
+    refs = [
+        _group_eligibility.remote(
+            index.group_dir(g), span, plans_ref, index.cfg.block_size,
+            None if deleted is None
+            else deleted[slice(*np.searchsorted(deleted, span))])
+        for span, g in spans
+    ]
+    per_spec: dict[int, list] = {}
+    for gi, ref in enumerate(refs):
+        for i, sl in ray.get(ref).items():
+            per_spec.setdefault(i, [None] * len(spans))[gi] = ray.put(sl)
+    zeros: dict[int, object] = {}
+    lo = np.asarray([s[0] for s, _ in spans], dtype=np.int64)
+    hi = np.asarray([s[1] for s, _ in spans], dtype=np.int64)
+    for i, shard_refs in per_spec.items():
+        for gi, r in enumerate(shard_refs):
+            if r is None:  # no eligible doc in this group
+                if gi not in zeros:
+                    b0, b1 = shard_byte_span(*spans[gi][0])
+                    zeros[gi] = ray.put(np.zeros(b1 - b0, dtype=np.uint8))
+                shard_refs[gi] = zeros[gi]
+        out[i] = BitmapShards(lo, hi, lo >> 3, shard_refs, index.id_bound,
+                              deleted=deleted)
     return out
 
 
 def candidate_bitmap(index_dir: str, terms: list[str] | set[str]) -> np.ndarray:
-    """Packed bitmap of docs containing ALL ``terms`` — distributed
-    posting-list intersection (see _postings_bitmaps)."""
-    return _postings_bitmaps(Index.open(index_dir), [("q", terms, "and")])["q"]
+    """Packed bitmap over [0, ``Index.id_bound``) of the docs containing
+    ALL ``terms`` — the per-group posting-list intersection of
+    ``_postings_bitmaps``, its group slices ORed into one array."""
+    index = Index.open(index_dir)
+    out = np.zeros(bitmap_nbytes(index.id_bound), dtype=np.uint8)
+    sh = _postings_bitmaps(index, [(list(terms), [])])[0]
+    if sh is not None:
+        for b_lo, ref in zip(sh.byte_lo, sh.refs):
+            sl = ray.get(ref)
+            out[b_lo: b_lo + sl.size] |= sl
+    return out
 
 
-_EMPTY_COUNTS = pa.table(
-    {"qid": pa.array([], type=pa.string()),
-     "doc_id": pa.array([], type=pa.int64()),
-     "ptf": pa.array([], type=pa.int64()),
-     "dl": pa.array([], type=pa.int64())}
-)
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
+@ray.remote
 def _positions_counts(
-    index: Index,
-    phrases: list[tuple[str, list[str]]],
+    group_dir: str,
+    norms_lo: int,
+    phrases: list[list[str]],
+    block_size: int,
     gap: int,
-) -> rd.Dataset:
-    """Occurrence counts from the index's positions (pipelines/
-    positions.py — the Lucene .pos path, reference analogue
-    on_pyserini.py --storePositions): per group, ONE term-pruned read
-    of the phrase terms' position rows resolves every query's
-    occurrence count without touching the corpus text.  Per (query,
-    group): each phrase slot's occurrences become sorted uint64 keys
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One group's phrase occurrence counts, from the index's positions
+    (pipelines/positions.py — the Lucene .pos path, reference analogue
+    on_pyserini.py --storePositions): ONE term-pruned read of the
+    phrase terms' position rows resolves every query's occurrence
+    count without touching the corpus text.  Per query: each phrase
+    slot's occurrences become sorted uint64 keys
     ((doc - norms_lo) << 32) | kept_pos; gap=1 is membership (key p
     matches iff p+j is present for every slot j), gap>1 a backward DP:
     a position of term j chains iff the NEAREST chaining position of
     term j+1 strictly after it is within ``gap`` in the same doc (if
     any continuation is in range, the nearest is), so an occurrence is
     a START position from which a full in-order chain exists, counted
-    once per start (count(DISTINCT k0.rn) in the SQL oracle).  Emits
-    the (qid, doc_id, ptf, dl) counts table, dl read from the group's
-    norms."""
+    once per start (count(DISTINCT k0.rn) in the SQL oracle).  Returns
+    the (query index, doc_id, ptf, dl) count arrays, dl read from the
+    group's norms."""
     from .positions import positions_for_terms
     from .query import _group_norms
 
-    union_terms = sorted({t for _, toks in phrases for t in toks})
-    block_size = index.cfg.block_size
-    items = [
-        {"group_dir": index.group_dir(g), "norms_lo": index.norms_lo(g)}
-        for g in index.gids
-    ]
+    lo = norms_lo
+    pmap = positions_for_terms(
+        group_dir, sorted({t for toks in phrases for t in toks}), block_size)
+    norms = _group_norms(group_dir, lo)[0] if pmap else None
+    key_cache: dict[str, np.ndarray] = {}
 
-    def scan(batch: pa.Table) -> pa.Table:
-        out_q: list[np.ndarray] = []
-        out_d: list[np.ndarray] = []
-        out_tf: list[np.ndarray] = []
-        out_dl: list[np.ndarray] = []
-        for gd, lo in zip(*(batch.column(c).to_pylist()
-                            for c in ("group_dir", "norms_lo"))):
-            pmap = positions_for_terms(gd, union_terms, block_size)
-            norms = _group_norms(gd, lo)[0]
-            key_cache: dict[str, np.ndarray] = {}
+    def keys_of(t: str) -> np.ndarray | None:
+        ks = key_cache.get(t)
+        if ks is None:
+            v = pmap.get(t)
+            if v is None:
+                return None
+            docs, counts, pos_abs = v
+            # sorted: docs ascending, positions ascending in doc
+            ks = key_cache[t] = (
+                (np.repeat((docs - lo).astype(np.uint64), counts)
+                 << np.uint64(32))
+                | pos_abs.astype(np.uint64)
+            )
+        return ks
 
-            def keys_of(t: str) -> np.ndarray | None:
-                ks = key_cache.get(t)
-                if ks is None:
-                    v = pmap.get(t)
-                    if v is None:
-                        return None
-                    docs, counts, pos_abs = v
-                    # sorted: docs ascending, positions ascending in doc
-                    ks = key_cache[t] = (
-                        (np.repeat((docs - lo).astype(np.uint64), counts)
-                         << np.uint64(32))
-                        | pos_abs.astype(np.uint64)
-                    )
-                return ks
+    out_q: list[np.ndarray] = []
+    out_d: list[np.ndarray] = []
+    out_tf: list[np.ndarray] = []
+    for qi, toks in enumerate(phrases):
+        slot_keys = [keys_of(t) for t in toks]
+        if any(ksj is None or ksj.size == 0 for ksj in slot_keys):
+            continue  # strict conjunction within this group
+        n = len(toks)
+        if gap == 1:
+            p = slot_keys[0]
+            valid = np.ones(p.size, dtype=bool)
+            for j in range(1, n):
+                tgt = p + np.uint64(j)
+                ksj = slot_keys[j]
+                posn = np.searchsorted(ksj, tgt)
+                okj = posn < ksj.size
+                okj[okj] = ksj[posn[okj]] == tgt[okj]
+                valid &= okj
+                if not valid.any():
+                    break
+            starts = p[valid]
+        else:
+            ok = slot_keys[n - 1]
+            for j in range(n - 2, -1, -1):
+                if ok.size == 0:
+                    break
+                pj = slot_keys[j]
+                nxt = np.searchsorted(ok, pj, side="right")
+                has = nxt < ok.size
+                q = ok[np.minimum(nxt, ok.size - 1)]
+                ok = pj[
+                    has
+                    & (q <= pj + np.uint64(gap))
+                    & ((q >> np.uint64(32)) == (pj >> np.uint64(32)))
+                ]
+            starts = ok
+        if starts.size == 0:
+            continue
+        doc_rel, ptf = np.unique(
+            (starts >> np.uint64(32)).astype(np.int64), return_counts=True)
+        out_q.append(np.full(doc_rel.size, qi, dtype=np.int32))
+        out_d.append(doc_rel)
+        out_tf.append(ptf.astype(np.int64))
+    if not out_q:
+        return np.empty(0, dtype=np.int32), _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+    doc_rel = np.concatenate(out_d)
+    return (np.concatenate(out_q), doc_rel + lo, np.concatenate(out_tf),
+            norms[doc_rel].astype(np.int64))
 
-            for qid, toks in phrases:
-                slot_keys = [keys_of(t) for t in toks]
-                if any(ksj is None or ksj.size == 0 for ksj in slot_keys):
-                    continue  # strict conjunction within this group
-                n = len(toks)
-                if gap == 1:
-                    p = slot_keys[0]
-                    valid = np.ones(p.size, dtype=bool)
-                    for j in range(1, n):
-                        tgt = p + np.uint64(j)
-                        ksj = slot_keys[j]
-                        posn = np.searchsorted(ksj, tgt)
-                        okj = posn < ksj.size
-                        okj[okj] = ksj[posn[okj]] == tgt[okj]
-                        valid &= okj
-                        if not valid.any():
-                            break
-                    starts = p[valid]
-                else:
-                    ok = slot_keys[n - 1]
-                    for j in range(n - 2, -1, -1):
-                        if ok.size == 0:
-                            break
-                        pj = slot_keys[j]
-                        nxt = np.searchsorted(ok, pj, side="right")
-                        has = nxt < ok.size
-                        q = ok[np.minimum(nxt, ok.size - 1)]
-                        ok = pj[
-                            has
-                            & (q <= pj + np.uint64(gap))
-                            & ((q >> np.uint64(32)) == (pj >> np.uint64(32)))
-                        ]
-                    starts = ok
-                if starts.size == 0:
-                    continue
-                doc_rel, ptf = np.unique(
-                    (starts >> np.uint64(32)).astype(np.int64),
-                    return_counts=True,
-                )
-                out_q.append(np.full(doc_rel.size, qid, dtype=object))
-                out_d.append(doc_rel + lo)
-                out_tf.append(ptf.astype(np.int64))
-                out_dl.append(norms[doc_rel].astype(np.int64))
-        if not out_q:
-            return _EMPTY_COUNTS
-        return pa.table(
-            {"qid": pa.array(np.concatenate(out_q), type=pa.string()),
-             "doc_id": pa.array(np.concatenate(out_d), type=pa.int64()),
-             "ptf": pa.array(np.concatenate(out_tf)),
-             "dl": pa.array(np.concatenate(out_dl))}
-        )
 
-    return rd.from_items(items).map_batches(
-        scan, batch_format="pyarrow", batch_size=1
-    )
+_RANKED_SCHEMA = pa.schema([("qid", pa.string()), ("doc_id", pa.int64()),
+                            ("rank", pa.int64()), ("score", pa.float64())])
+
+
+def _ranked(
+    qids: list[str],
+    qi: np.ndarray,
+    doc: np.ndarray,
+    score: np.ndarray,
+    k: int | None = None,
+) -> pa.Table:
+    """The ranking tail of every entry point here: row i belongs to
+    query ``qids[qi[i]]``; scores are rounded to 6 decimals and ranked
+    per query by (score desc, doc_id asc), queries in qid order, each
+    cut to its first ``k`` rows when ``k`` is given."""
+    if qi.size == 0:
+        return _RANKED_SCHEMA.empty_table()
+    names = np.asarray(qids, dtype=object)
+    order_of = np.empty(len(qids), dtype=np.int64)
+    order_of[np.argsort(names, kind="stable")] = np.arange(len(qids))
+    score = np.round(score, 6)
+    code = order_of[qi]
+    sel = np.lexsort((doc, -score, code))
+    c = code[sel]
+    first = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))
+    rank = np.arange(1, c.size + 1) - np.repeat(
+        first, np.diff(np.append(first, c.size)))
+    if k is not None:
+        sel, rank = sel[rank <= k], rank[rank <= k]
+    return pa.table({
+        "qid": pa.array(names[qi[sel]], type=pa.string()),
+        "doc_id": pa.array(doc[sel], type=pa.int64()),
+        "rank": pa.array(rank, type=pa.int64()),
+        "score": pa.array(score[sel], type=pa.float64()),
+    }, schema=_RANKED_SCHEMA)
 
 
 def phrase_topk(
@@ -375,114 +403,52 @@ def phrase_topk(
             f"index at {index_dir} has no positions: phrase and NEAR "
             "retrieval need an index built with IndexConfig(positions=True)"
         )
-    num_docs = index.num_docs
-
-    empty = pa.table(
-        {"qid": pa.array([], type=pa.string()),
-         "doc_id": pa.array([], type=pa.int64()),
-         "rank": pa.array([], type=pa.int64()),
-         "score": pa.array([], type=pa.float64())}
-    )
-
     tokenized = [
         (qid, toks) for qid, text in queries if (toks := index.analyze(text))
     ]
     if not tokenized:
-        return empty
-    counts = _positions_counts(index, tokenized, gap).materialize()
-    if counts.count() == 0:
-        return empty
-
-    # per-phrase df: per-block partial value counts (≤ #phrases rows per
-    # block leave each task — the driver never pulls the qid column)
-    def dfc(b: pa.Table) -> pa.Table:
-        qarr = b.column("qid").combine_chunks().to_numpy(zero_copy_only=False)
-        q, c = np.unique(qarr, return_counts=True)
-        return pa.table(
-            {"qid": pa.array(q, type=pa.string()),
-             "n": pa.array(c, type=pa.int64())}
-        )
-
-    dfs: dict[str, int] = {}
-    for b in counts.map_batches(dfc, batch_format="pyarrow").iter_batches(
-        batch_size=None, batch_format="pyarrow"
-    ):
-        for qq, cc in zip(b.column("qid").to_pylist(),
-                          b.column("n").to_pylist()):
-            dfs[qq] = dfs.get(qq, 0) + int(cc)
-    idf_map = {
-        q: float(idf_fn(params, d, num_docs, avg_idf=index.avg_idf))
-        for q, d in dfs.items()
-    }
-    avgdl, deleted = index.avgdl, index.deleted
-
-    def score(batch: pa.Table) -> pa.Table:
-        if deleted is not None:
-            batch = batch.filter(pa.array(
-                ~np.isin(batch.column("doc_id").to_numpy(), deleted)))
-        w = batch.column("qid").to_pandas().map(idf_map).to_numpy()
-        s = w * tf_shape(
-            params,
-            batch.column("ptf").to_numpy(),
-            batch.column("dl").to_numpy(),
-            avgdl,
-        )
-        return pa.table(
-            {"qid": batch.column("qid"),
-             "doc_id": batch.column("doc_id"),
-             "score": pa.array(np.round(s, 6), type=pa.float64())}
-        )
-
-    top = grouped_topk(
-        counts.map_batches(score, batch_format="pyarrow"),
-        key="qid", score="score", id_col="doc_id", k=k,
-    )
-    parts = list(top.iter_batches(batch_size=None, batch_format="pyarrow"))
-    if not parts:
-        return empty
-    tbl = pa.concat_tables(parts)
-    if tbl.num_rows == 0:
-        return empty
-    return pa.table(
-        {"qid": tbl.column("qid").cast(pa.string()),
-         "doc_id": tbl.column("doc_id").cast(pa.int64()),
-         "rank": tbl.column("rank").cast(pa.int64()),
-         "score": tbl.column("score").cast(pa.float64())}
-    )
-
-
-_BOOL_SCHEMA = pa.schema([("qid", pa.string()), ("doc_id", pa.int64()),
-                          ("rank", pa.int64()), ("score", pa.float64())])
+        return _RANKED_SCHEMA.empty_table()
+    phrases = ray.put([toks for _, toks in tokenized])
+    parts = ray.get([
+        _positions_counts.remote(index.group_dir(g), index.norms_lo(g),
+                                 phrases, index.cfg.block_size, gap)
+        for g in index.gids
+    ])
+    qi, doc, ptf, dl = (np.concatenate([p[j] for p in parts]) for j in range(4))
+    # groups own disjoint docs: a phrase's df is its row count summed
+    # over the groups, deleted docs included
+    df = np.bincount(qi, minlength=len(tokenized))
+    w = np.zeros(df.size, dtype=np.float64)
+    for i in np.flatnonzero(df):
+        w[i] = float(idf_fn(params, int(df[i]), index.num_docs,
+                            avg_idf=index.avg_idf))
+    if index.deleted is not None:
+        live = ~np.isin(doc, index.deleted)
+        qi, doc, ptf, dl = qi[live], doc[live], ptf[live], dl[live]
+    score = w[qi] * tf_shape(params, ptf, dl, index.avgdl)
+    return _ranked([q for q, _ in tokenized], qi, doc, score, k)
 
 
 def _masked_topk(
     index: Index,
-    jobs: list[tuple[str, str, np.ndarray]],
+    jobs: list[tuple[str, str, BitmapShards | None]],
     k: int,
     params: BM25Params,
 ) -> pa.Table:
     """The boolean entry points' shared tail: ONE ``search()`` over
-    every (qid, score text, eligibility bitmap) job, each query masked
-    by its own bitmap; scores rounded to 6 decimals and re-ranked
-    (qid, score desc, doc_id asc)."""
+    every (qid, score text, eligibility shards) job, each query masked
+    by its own shards (None: every live doc), then ``_ranked``."""
     if not jobs:
-        return _BOOL_SCHEMA.empty_table()
+        return _RANKED_SCHEMA.empty_table()
+    qids = [q for q, _, _ in jobs]
     tbl = search(
         index, [(q, t) for q, t, _ in jobs], params=params, k=k,
-        join_back=False, allowed=[bm for _, _, bm in jobs],
+        join_back=False, allowed=[m for _, _, m in jobs],
     )
-    tbl = pa.table({
-        "qid": tbl.column("qid"), "doc_id": tbl.column("doc_id"),
-        "score": np.round(tbl.column("score").to_numpy(), 6),
-    })
-    tbl = tbl.take(pc.sort_indices(tbl, sort_keys=[
-        ("qid", "ascending"), ("score", "descending"), ("doc_id", "ascending"),
-    ]))
-    q = tbl.column("qid").to_numpy(zero_copy_only=False)
-    first = np.flatnonzero(np.concatenate(([True], q[1:] != q[:-1])))
-    rank = np.arange(1, q.size + 1) - np.repeat(
-        first, np.diff(np.append(first, q.size)))
-    return tbl.add_column(2, "rank", pa.array(rank, type=pa.int64()))
+    qi = pc.index_in(tbl.column("qid"),
+                     value_set=pa.array(qids, type=pa.string())).to_numpy()
+    return _ranked(qids, qi, tbl.column("doc_id").to_numpy(),
+                   tbl.column("score").to_numpy())
 
 
 def bool_and_topk(
@@ -496,24 +462,20 @@ def bool_and_topk(
     ALL of each query's terms (Lucene BooleanQuery.MUST).  A query with
     an out-of-vocab term returns nothing (strict AND); fewer than k
     conjunctive matches return fewer rows.  One batched posting-list
-    intersection builds every query's bitmap, then ONE
-    ``search(allowed=[bitmap per query])`` scores the whole batch
+    intersection builds every query's eligibility shards, then ONE
+    ``search(allowed=[shards per query])`` scores the whole batch
     (docfilter mask inside the scorers; full-corpus idf/avgdl,
     identical score values to the unfiltered ranking)."""
     params = params or BM25Params()
     index = Index.open(index_dir, cfg)
-    q_terms = {
-        qid: set(terms) for qid, text in queries if (terms := index.analyze(text))
-    }
-    # all intersections in one distributed scan (ADVICE: Q queries no
-    # longer pay Q scheduling round-trips / segment re-reads)
-    bms = _postings_bitmaps(
-        index, [(q, t, "and") for q, t in q_terms.items()]
-    ) if q_terms else {}
-    jobs = [
-        (qid, text, bm) for qid, text in queries
-        if (bm := bms.get(qid)) is not None and bm.any()
-    ]
+    texts = [(qid, text, terms) for qid, text in queries
+             if (terms := index.analyze(text))]
+    # every intersection in one scan: Q queries pay one task per group,
+    # not Q scheduling round-trips and segment re-reads
+    shards = _postings_bitmaps(
+        index, [(terms, []) for _, _, terms in texts], index.deleted)
+    jobs = [(qid, text, sh) for (qid, text, _), sh in zip(texts, shards)
+            if sh is not None]
     return _masked_topk(index, jobs, k, params)
 
 
@@ -535,43 +497,25 @@ def bool_query_topk(
     behavior), dense semantics confined to the eligible set — an
     eligible doc matching no scoring term ranks at the query constant.
 
-    Bitmap algebra on the docfilter layout: AND-intersection bitmap
-    for must (posting-list intersection), OR-union bitmap for
-    must_not, eligibility = must & ~must_not, then ONE
-    ``search(allowed=[eligibility per query])`` for the whole batch —
-    the exclusion never touches the scorers, it is pure mask
+    Each group's task evaluates must-AND and must_not-OR for every
+    query of the batch at once (``_postings_bitmaps``), and ONE
+    ``search(allowed=[eligibility shards per query])`` scores the whole
+    batch; a query with neither clause passes None (every live doc).
+    The exclusion never touches the scorers, it is pure mask
     composition."""
     params = params or BM25Params()
     index = Index.open(index_dir, cfg)
-    id_bound, toks = index.id_bound, index.analyze
-
-    # one batched scan for every query's must-AND and must_not-OR
-    # bitmaps (shared per-term decodes across the whole spec set)
-    scan_specs: list[tuple[str, list[str], str]] = []
-    m_of: dict[str, list[str]] = {}
-    n_of: dict[str, list[str]] = {}
-    for qid, must, _should, must_not in specs:
-        m_of[qid] = toks(must)
-        n_of[qid] = toks(must_not)
-        if m_of[qid]:
-            scan_specs.append((f"m:{qid}", m_of[qid], "and"))
-        if n_of[qid]:
-            scan_specs.append((f"n:{qid}", n_of[qid], "or"))
-    bms = _postings_bitmaps(index, scan_specs) if scan_specs else {}
-
-    # one shared all-docs object: queries with no must clause publish
-    # one composed mask between them
-    all_docs = invert_bitmap(
-        np.zeros(bitmap_nbytes(id_bound), dtype=np.uint8), id_bound
-    )
-    jobs: list[tuple[str, str, np.ndarray]] = []
-    for qid, must, should, must_not in specs:
-        bm = bms[f"m:{qid}"] if m_of[qid] else all_docs
-        if n_of[qid]:
-            bm = bm & invert_bitmap(bms[f"n:{qid}"], id_bound)
-        score_text = (must + " " + should).strip()
-        # no eligible doc, or nothing to rank by (must and should all
-        # stopword/OOV)
-        if bm.any() and toks(score_text):
-            jobs.append((qid, score_text, bm))
+    toks = index.analyze
+    # (qid, score text, must terms, must_not terms) of the queries with
+    # something to rank by (must and should not all stopword/OOV)
+    plans = [(qid, text, toks(must), toks(must_not))
+             for qid, must, should, must_not in specs
+             if toks(text := (must + " " + should).strip())]
+    scan = [i for i, (_, _, m, n) in enumerate(plans) if m or n]
+    elig = dict(zip(scan, _postings_bitmaps(
+        index, [plans[i][2:] for i in scan], index.deleted)))
+    # unscanned queries pass None (every live doc); scanned ones with
+    # no eligible doc drop out
+    jobs = [(qid, text, elig.get(i)) for i, (qid, text, _, _) in enumerate(plans)
+            if elig.get(i, True) is not None]
     return _masked_topk(index, jobs, k, params)

@@ -952,10 +952,7 @@ class Index:
         groups: list[int] | None = None,
     ):
         self.index_dir, self.man = index_dir, man
-        self.cfg = cfg or IndexConfig(**{
-            k_: v for k_, v in man.config.items()
-            if k_ in IndexConfig.__dataclass_fields__
-        })
+        self.cfg = cfg or IndexConfig.from_dict(man.config)
         self.num_docs = int(man.stats["num_docs"])
         # exclusive bound on the doc ids: num_docs unless a group records
         # ids past it (a documents index with holes or offset ids)

@@ -126,13 +126,10 @@ def test_local_search_starts_no_ray_data_job(two_group_index, monkeypatch):
 
     queries = synthesize_queries(5, seed=8)
     expected = _ranked(search(two_group_index, queries, k=10))
-    for name in ("from_arrow", "from_arrow_refs"):
+    for name in ("from_arrow", "from_arrow_refs", "from_items"):
         monkeypatch.setattr(rd, name, boom)
-    # the boolean posting scan is a Ray Data job of its own; its one
-    # search() must not add another
-    bq = bool_query_topk(two_group_index, [("b", "", queries[0][1], "")], k=5)
-    monkeypatch.setattr(rd, "from_items", boom)
     monkeypatch.setattr(rd.Dataset, "map_batches", boom)
+    bq = bool_query_topk(two_group_index, [("b", "", queries[0][1], "")], k=5)
     res = search(two_group_index, queries, k=10)
     none_allowed = np.zeros(
         bitmap_nbytes(Index.open(two_group_index).id_bound), dtype=np.uint8)

@@ -173,6 +173,13 @@ def test_compose_shards_matches_full_unaligned(ray_session):
     # a span crossing a shard boundary is a caller bug -> loud error
     with pytest.raises(ValueError):
         sh.mask(10, 20)
+    # shards already composed with these tombstones pass through as
+    # they are; an equal copy of the ids composes again, same bits
+    assert compose_shards(ranges, n, user=sh, deleted_ids=deleted) is sh
+    again = compose_shards(ranges, n, user=sh, deleted_ids=deleted.copy())
+    assert again is not sh
+    for lo, hi in ranges:
+        assert np.array_equal(again.mask(lo, hi), ref[lo:hi]), (lo, hi)
 
 
 def test_compose_shards_no_user_filter(ray_session):
@@ -224,6 +231,31 @@ def test_allowed_shards_distributed_matches_bitmap(ray_session):
     sh = allowed_shards(ds, n, ranges)
     full = bitmap_from_ids(ids, n)
     for lo, hi in ranges + [(100, 1701), (1701, 1800), (4000, 4444)]:
+        assert np.array_equal(sh.mask(lo, hi), bitmap_slice(full, lo, hi))
+
+
+def test_allowed_shards_out_of_order_chunks(ray_session):
+    """Chunks arrive in no id order and cross group boundaries (blocks
+    hold shuffled windows of ids, listed last window first, plus one
+    block of ids from everywhere): every group's shard still equals the
+    bitmap of the ids, sliced to the group."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from bm25_benchmarks_ray.pipelines.docfilter import allowed_shards
+
+    rng = np.random.RandomState(12)
+    n = 6000
+    ranges = [(0, 1001), (1001, 2999), (2999, 4003), (4003, 6000)]
+    ids = np.flatnonzero(rng.random(n) < 0.3).astype(np.int64)
+    windows = np.array_split(ids, 8)
+    spread = rng.permutation(ids)[:200]
+    blocks = [rng.permutation(w) for w in windows[::-1]] + [spread]
+    assert any(w[0] < lo < w[-1] for w in windows for lo, _ in ranges[1:])
+    ds = rd.from_arrow([pa.table({"doc_id": b}) for b in blocks])
+    sh = allowed_shards(ds, n, ranges)
+    full = bitmap_from_ids(ids, n)
+    for lo, hi in ranges:
         assert np.array_equal(sh.mask(lo, hi), bitmap_slice(full, lo, hi))
 
 

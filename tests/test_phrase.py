@@ -472,6 +472,51 @@ def test_bool_batches_make_one_search_call(corpus, monkeypatch):
     assert got.equals(_per_query_masked(idx, jobs, len(texts), 10))
 
 
+def test_bool_batches_on_tombstoned_index(ray_session, tmp_path):
+    """On a two-group index with deletes, the eligibility shards a
+    boolean batch builds already exclude the tombstones, and the batch
+    equals one search(allowed=bitmap) per query, where search() clears
+    the tombstones itself.  A query whose eligible docs are all deleted
+    returns nothing."""
+    from bm25_benchmarks_ray.pipelines import phrase
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+
+    texts = _mk_texts(120, seed=9)
+    texts[7] = "zeta only zeta"
+    d = tmp_path / "docs"
+    d.mkdir()
+    t = pa.table({"doc_id": pa.array(np.arange(120, dtype=np.int64)),
+                  "text": pa.array(texts, type=pa.string())})
+    pq.write_table(t.slice(0, 60), str(d / "a.parquet"))
+    pq.write_table(t.slice(60), str(d / "b.parquet"))
+    idx = str(tmp_path / "index")
+    build_index(str(d), idx, IndexConfig(stopwords="en", stemmer="none"),
+                mode="documents", n_groups=2)
+    kept = [set(_kept(x)) for x in texts]
+    only = [i for i, ks in enumerate(kept) if ks == {"zeta", "only"}]
+    delete_docs(idx, np.array(sorted({3, 17, 61, 90, 119, *only})))
+
+    and_qs = [("a0", "alpha beta"), ("a1", "gamma kappa"), ("a2", "only")]
+    got = phrase.bool_and_topk(idx, and_qs, k=10).to_pandas()
+    want = _per_query_masked(idx, [
+        (q, text, [d for d, ks in enumerate(kept) if set(_kept(text)) <= ks])
+        for q, text in and_qs
+    ], len(texts), 10)
+    assert len(got) and "a2" not in set(got["qid"])
+    assert got.equals(want)
+
+    specs = [("b0", "alpha", "beta gamma", "kappa"),
+             ("b1", "", "alpha beta", "kappa"),   # must_not only
+             ("b2", "", "gamma delta", "")]       # neither: every live doc
+    got = phrase.bool_query_topk(idx, specs, k=10).to_pandas()
+    jobs = []
+    for q, must, should, must_not in specs:
+        m, n = set(_kept(must)), set(_kept(must_not))
+        jobs.append((q, f"{must} {should}".strip(),
+                     [d for d, ks in enumerate(kept) if m <= ks and not n & ks]))
+    assert got.equals(_per_query_masked(idx, jobs, len(texts), 10))
+
+
 def test_near_randomized_sweep(corpus):
     """Randomized hardening of the chain-DP: many (phrase, gap) combos
     over the module corpus, each checked doc-for-doc against the

@@ -407,6 +407,25 @@ def test_positions_lifecycle(ray_session, tmp_path):
     _lifecycle_check(inter, t, work, deleted)
 
 
+def test_append_inherits_index_config(ray_session, tmp_path):
+    """append_index without a cfg appends with the index's own config,
+    so a positions index's new groups carry positions and phrase and
+    NEAR equal a fresh build over the union; a cfg that differs raises
+    a ValueError naming the differing fields and changes nothing."""
+    t = _corpus(400, seed=23)
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(t.slice(0, 200), a)
+    pq.write_table(t.slice(200), b)
+    idx = str(tmp_path / "idx")
+    build_index(a, idx, POS_CFG, mode="documents")
+    with pytest.raises(ValueError, match=r"\['positions', 'stemmer'\]"):
+        append_index(b, idx, IndexConfig())
+    append_index(b, idx)
+    work = tmp_path / "checks"
+    work.mkdir()
+    _lifecycle_check(idx, t, work)
+
+
 @pytest.mark.parametrize("salt_range", [262144, 4])
 def test_positions_interleaved_runs(ray_session, tmp_path, salt_range):
     """One group read from an even-id and an odd-id file: the runs of a
@@ -467,3 +486,80 @@ def test_merge_kernels_regroup_positions(tmp_path):
         seg, pos = merged(inter, name, pre)
         assert seg.sort_by("tid").equals(whole[0].sort_by("tid")), name
         assert pos.drop(["term"]).equals(whole[1].drop(["term"])), name
+
+
+def test_query_calls_start_no_ray_data_job(poscorpus, monkeypatch):
+    """Phrase, NEAR and boolean calls are plain Ray tasks plus a driver
+    merge.  With Ray Data's job entry points patched to raise — all but
+    the pack stage allowed_shards maps over the caller's own dataset —
+    every entry point returns what it returns unpatched, phrase and
+    NEAR results equal the Python reference, and allowed_shards equals
+    the bitmap of its ids, group by group."""
+    import ray.data as rd
+
+    from bm25_benchmarks_ray.pipelines.docfilter import (
+        allowed_shards,
+        bitmap_from_ids,
+        bitmap_slice,
+    )
+    from bm25_benchmarks_ray.pipelines.phrase import (
+        bool_and_topk,
+        bool_query_topk,
+        candidate_bitmap,
+    )
+    from bm25_benchmarks_ray.pipelines.query import Index
+
+    idx, _, texts = poscorpus
+    specs = [("b0", "alpha", "beta gamma", "table"),
+             ("b1", "", "alpha beta", "scan"),
+             ("b2", "beta gamma", "", "")]
+    calls = {
+        "phrase": lambda: phrase_topk(idx, QUERIES, k=10),
+        "near": lambda: phrase_topk(idx, QUERIES, k=10, gap=3),
+        "and": lambda: bool_and_topk(
+            idx, [("a0", "alpha beta"), ("a1", "table zzmissing")], k=10),
+        "query": lambda: bool_query_topk(idx, specs, k=10),
+        "candidate": lambda: candidate_bitmap(idx, ["alpha", "beta"]),
+    }
+    want = {name: f() for name, f in calls.items()}
+    index = Index.open(idx)
+    ranges = sorted(index.ranges.values())
+    assert len(ranges) == 2
+    ids = np.flatnonzero(np.random.RandomState(2).random(index.id_bound) < 0.3)
+    ds = rd.from_arrow([pa.table({"doc_id": ids[i::3]}) for i in range(3)])
+
+    def boom(*a, **kw):
+        raise AssertionError("a query call started a Ray Data job")
+
+    real_map = rd.Dataset.map_batches
+
+    def map_batches(self, fn, *a, **kw):
+        if getattr(fn, "__qualname__", "") != "_pack_chunks.<locals>.pack":
+            boom()
+        return real_map(self, fn, *a, **kw)
+
+    monkeypatch.setattr(rd, "from_items", boom)
+    monkeypatch.setattr(rd.Dataset, "materialize", boom)
+    monkeypatch.setattr(rd.Dataset, "sort", boom)
+    monkeypatch.setattr(rd.Dataset, "map_batches", map_batches)
+    got = {name: f() for name, f in calls.items()}
+    shards = allowed_shards(ds, index.id_bound, ranges)
+    monkeypatch.undo()
+
+    for name in ("phrase", "near", "and", "query"):
+        assert got[name].num_rows and got[name].equals(want[name]), name
+    assert set(got["and"].column("qid").to_pylist()) == {"a0"}
+    assert got["candidate"].any()
+    assert np.array_equal(got["candidate"], want["candidate"])
+    full = bitmap_from_ids(ids, index.id_bound)
+    for lo, hi in ranges:
+        assert np.array_equal(shards.mask(lo, hi), bitmap_slice(full, lo, hi))
+    for name, gap in (("phrase", 1), ("near", 3)):
+        res = got[name].to_pandas()
+        for qid, phrase in QUERIES:
+            mine = res[res["qid"] == qid]
+            ref = _ref_ranking(texts, phrase, gap, 10)
+            assert list(mine["rank"]) == list(range(1, len(ref) + 1))
+            assert list(mine["doc_id"]) == [d for d, _ in ref], (qid, gap)
+            np.testing.assert_allclose(mine["score"], [s for _, s in ref],
+                                       atol=1e-6)
