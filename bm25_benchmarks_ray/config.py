@@ -82,6 +82,11 @@ class IndexConfig:
             sem["positions"] = True
         return sem
 
+    def semantic_diff(self, other: "IndexConfig") -> list[str]:
+        """The ``semantic`` fields in which ``other`` differs, sorted."""
+        a, b = self.semantic(), other.semantic()
+        return sorted(f for f in a.keys() | b.keys() if a.get(f) != b.get(f))
+
     def fingerprint(self) -> str:
         """Hash of the semantic config (``semantic``)."""
         return hashlib.sha256(

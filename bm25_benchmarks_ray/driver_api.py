@@ -281,7 +281,7 @@ def q_phrase_topk(sf_dir: str, method: str = "lucene", k: int = 10,
     idx = documents_index(sf_dir, POS_CFG)
     return phrase_topk(
         idx, PHRASE_QUERIES, k=k, params=BM25Params(method=method),
-        cfg=SQL_CFG, gap=gap,
+        cfg=POS_CFG, gap=gap,
     )
 
 

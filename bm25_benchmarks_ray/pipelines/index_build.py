@@ -56,7 +56,12 @@ from ray.data.aggregate import Sum
 from ..compat import prime_fsspec_http
 from ..config import IndexConfig
 from ..stages.docids import assign_doc_ids, conv_offsets, conv_offsets_local
-from ..stages.segments import POSITIONS_DIR, make_merge_partial, make_merge_sorted
+from ..stages.segments import (
+    PARQUET_WRITE_ARGS,
+    POSITIONS_DIR,
+    make_merge_partial,
+    make_merge_sorted,
+)
 from ..stages.tokenize_stage import TokenizeRuns
 from ..state.manifest import FormatVersionError, Manifest
 from ..state.norms import PARTS_DIR
@@ -337,7 +342,7 @@ def _build_group_segments(
         make_merge_sorted(cfg.block_size, positions_dir=pos_dir),
         batch_format="pyarrow", batch_size=None,
     )
-    segments.write_parquet(tmp)
+    segments.write_parquet(tmp, **PARQUET_WRITE_ARGS)
     return tmp
 
 
@@ -541,14 +546,14 @@ def _finalize_index(man: Manifest, index_dir: str) -> None:
         os.makedirs(v_tmp, exist_ok=True)
         pq.write_table(
             pa.Table.from_pandas(v, preserve_index=False),
-            os.path.join(v_tmp, "vocab-0.parquet"),
+            os.path.join(v_tmp, "vocab-0.parquet"), **PARQUET_WRITE_ARGS,
         )
     else:
         seg_ds = rd.read_parquet(seg_root, columns=["term", "df"])
         vocab = (
             seg_ds.groupby("term").aggregate(Sum("df", alias_name="df")).sort("term")
         )
-        vocab.write_parquet(v_tmp)
+        vocab.write_parquet(v_tmp, **PARQUET_WRITE_ARGS)
     v_dir = os.path.join(index_dir, VOCAB_DIR)
     if os.path.exists(v_dir):
         shutil.rmtree(v_dir)
@@ -610,9 +615,7 @@ def append_index(
     own = IndexConfig.from_dict(man.config)
     cfg = cfg or own
     if man.fingerprint != cfg.fingerprint():
-        sem, want = cfg.semantic(), own.semantic()
-        fields = sorted(f for f in sem.keys() | want.keys()
-                        if sem.get(f) != want.get(f))
+        fields = own.semantic_diff(cfg)
         if fields:
             raise ValueError(
                 f"config differs from the existing index in {fields}; append "
@@ -839,7 +842,7 @@ def compact_index(
         ),
         batch_format="pyarrow", batch_size=None,
     )
-    merged.write_parquet(out_dir)
+    merged.write_parquet(out_dir, **PARQUET_WRITE_ARGS)
 
     entries = [man.groups[str(g)] for g in gids]
     spans = [

@@ -55,8 +55,8 @@ as in ``search()`` — no Ray Data job.  A phrase batch is one
 counts, match-scale, never corpus-scale.  Groups own disjoint docs,
 so the driver sums a phrase's df over the groups' rows, then scores
 and ranks them.  A boolean batch is one ``_group_eligibility`` task per
-group, returning each query's byte slice of that group; the driver
-publishes one group's slices at a time as per-query ``BitmapShards``
+group, returning each query's byte slice of that group as a return
+object of its own; the driver wraps them as per-query ``BitmapShards``
 (the 10^12-doc sharding story in pipelines/docfilter.py), so no dense
 corpus-wide bitmap is ever built for a boolean query.
 """
@@ -68,7 +68,6 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import ray
 
 from ..config import IndexConfig
@@ -102,20 +101,24 @@ def _group_eligibility(
     plans: list[tuple[int, list[str], list[str]]],
     block_size: int,
     deleted: np.ndarray | None,
-) -> dict[int, np.ndarray]:
-    """Every spec's eligibility over one group: ONE term-pruned segment
-    read of all the specs' terms, each term decoded once into its sorted
-    doc array, then per (spec, must, must_not) plan the docs of
-    ``span`` = [lo, hi) holding ALL ``must`` terms (rarest first; every
-    doc of the span when ``must`` is empty) and NONE of ``must_not``,
-    minus the ``deleted`` ids.  Returns {spec: packed byte slice
-    covering ``span``'s bytes} for the specs some doc of the group
-    satisfies."""
-    from ..stages.segments import decode_segment, segment_rows_by_term
+) -> tuple:
+    """Every spec's eligibility over one group: ONE read of all the
+    specs' terms' segment rows (``read_term_rows``), each term decoded
+    once into its sorted doc array, then per (spec, must, must_not) plan
+    the docs of ``span`` = [lo, hi) holding ALL ``must`` terms (rarest
+    first; every doc of the span when ``must`` is empty) and NONE of
+    ``must_not``, minus the ``deleted`` ids.
+
+    Returns ``1 + len(plans)`` objects (submit with that
+    ``num_returns``): first the positions in ``plans`` of the specs
+    some doc of the group satisfies, then per plan its packed byte slice
+    covering ``span``'s bytes (None for a spec no doc satisfies).  The slices are the task's
+    own return objects, so the driver publishes them without fetching
+    and re-putting each one."""
+    from ..stages.segments import decode_segment, read_term_rows, segment_rows_by_term
 
     terms = sorted({t for _, m, n in plans for t in (*m, *n)})
-    rows = segment_rows_by_term(pads.dataset(group_dir).to_table(
-        filter=pc.field("term").isin(terms))) if terms else {}
+    rows = segment_rows_by_term(read_term_rows(group_dir, terms))
     dec: dict[str, np.ndarray | None] = {}
 
     def docs_of(t: str) -> np.ndarray | None:
@@ -129,8 +132,10 @@ def _group_eligibility(
     lo, hi = span
     b0, b1 = shard_byte_span(lo, hi)
     base = b0 << 3
-    out: dict[int, np.ndarray] = {}
-    for i, must, must_not in plans:
+    matched: list[int] = []
+    slices: list[np.ndarray | None] = []
+    for j, (_, must, must_not) in enumerate(plans):
+        slices.append(None)
         cur: np.ndarray | None = None
         for t in must:
             d = docs_of(t)
@@ -148,8 +153,9 @@ def _group_eligibility(
             if d is not None:
                 bits[d - base] = 0
         if bits.any():
-            out[i] = np.packbits(bits, bitorder="little")
-    return out
+            matched.append(j)
+            slices[-1] = np.packbits(bits, bitorder="little")
+    return (matched, *slices)
 
 
 def _postings_bitmaps(
@@ -168,10 +174,11 @@ def _postings_bitmaps(
 
     Batching is the point (a Q-query boolean batch costs one task per
     group and ONE segment read per group, not Q): one
-    ``_group_eligibility`` task per group evaluates every spec.  The
-    driver fetches one group's slices at a time and ``ray.put``s each
-    as that spec's shard for the group, so its peak is one group's
-    slices, never a dense ``id_bound/8`` array per spec.
+    ``_group_eligibility`` task per group evaluates every spec.  Each
+    slice is one of the task's return objects and becomes that spec's
+    shard for the group as it is; the driver fetches only each task's
+    list of matched specs, never a slice, let alone a dense
+    ``id_bound/8`` array per spec.
 
     A must term absent from the vocab empties its spec (strict
     conjunction); absent must_not terms exclude nothing."""
@@ -191,17 +198,18 @@ def _postings_bitmaps(
     spans = sorted((index.ranges.get(g, (0, index.id_bound)), g)
                    for g in index.gids)
     plans_ref = ray.put(plans)
+    task = _group_eligibility.options(num_returns=1 + len(plans))
     refs = [
-        _group_eligibility.remote(
+        task.remote(
             index.group_dir(g), span, plans_ref, index.cfg.block_size,
             None if deleted is None
             else deleted[slice(*np.searchsorted(deleted, span))])
         for span, g in spans
     ]
     per_spec: dict[int, list] = {}
-    for gi, ref in enumerate(refs):
-        for i, sl in ray.get(ref).items():
-            per_spec.setdefault(i, [None] * len(spans))[gi] = ray.put(sl)
+    for gi, matched in enumerate(ray.get([r[0] for r in refs])):
+        for j in matched:
+            per_spec.setdefault(plans[j][0], [None] * len(spans))[gi] = refs[gi][1 + j]
     zeros: dict[int, object] = {}
     lo = np.asarray([s[0] for s, _ in spans], dtype=np.int64)
     hi = np.asarray([s[1] for s, _ in spans], dtype=np.int64)

@@ -38,11 +38,9 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..functions.codec import varint_decode
-from ..stages.segments import POSITIONS_DIR, _blockwise_docs
+from ..stages.segments import POSITIONS_DIR, _blockwise_docs, read_term_rows
 from ..state.manifest import Manifest
 
 
@@ -80,13 +78,10 @@ def positions_for_terms(
     ``group_dir``.  A term split across merge blocks has one row per
     part, with disjoint doc spans; the parts are concatenated in ``d0``
     order, never in the order the dataset lists its files."""
-    pdir = os.path.join(group_dir, POSITIONS_DIR)
-    if not os.path.isdir(pdir):  # a group without postings
+    t = read_term_rows(os.path.join(group_dir, POSITIONS_DIR), terms,
+                       columns=["term", "d0", "doc_ids", "tfs", "poss"])
+    if t.num_rows == 0:  # a group without postings, or none of the terms
         return {}
-    t = pads.dataset(pdir).to_table(
-        columns=["term", "d0", "doc_ids", "tfs", "poss"],
-        filter=pc.field("term").isin(terms),
-    )
     t = t.sort_by([("term", "ascending"), ("d0", "ascending")])
     out: dict[str, list] = {}
     for term, doc_buf, cnt_buf, pos_buf in zip(

@@ -6,18 +6,21 @@ single-process ``model.retrieve`` cannot express,
 
 1. Queries are tokenized driver-side (they are tiny; reference does the
    same with a frozen vocab, on_bm25s.py:89-112) and their global df
-   comes from the vocab table via a term-pruned parquet read.
+   comes from the vocab rows of their terms (``Index.df_of``).
 2. One broadcast object (``ray.put``) carries every query's term/idf
    structure to all scoring tasks — read zero-copy per task, never
    re-shipped per batch.
 3. One plain Ray task (``score_slice``) per (group, doc slice, query
-   batch) scores its queries against a disjoint doc range: segment
-   rows are read with a ``term isin(query_terms)`` parquet filter
-   (row-group pruning; only query-term postings are ever decoded),
-   contributions are accumulated vectorized (np.bincount over unique
-   candidate docs), and the task returns its local top-k per query —
-   k rows, not a score vector.  No Ray Data job is started per call;
-   the tasks run on Ray's reused worker processes.
+   batch) scores its queries against a disjoint doc range.  It reads
+   only the parquet row groups whose footer tid range holds one of its
+   query terms (``stages.segments.read_term_rows``: segment files are
+   sorted by tid in row groups of ``ROW_GROUP_ROWS``, so the footers
+   are the group's term dictionary), so a query's read and decode are
+   about its terms' rows, not the group's files; contributions are
+   accumulated vectorized (np.bincount over unique candidate docs),
+   and the task returns its local top-k per query — k rows, not a
+   score vector.  No Ray Data job is started per call; the tasks run
+   on Ray's reused worker processes.
 4. A query's partials come only from its own query batch's tasks, so
    the driver gathers and merges one query batch at a time (one
    ``ray.get`` of that batch's Q_b × k × (groups × slices) tiny rows)
@@ -735,7 +738,7 @@ def score_slice(
 
     A build group can be far wider than one task should chew, so the
     scatter unit is a doc-id slice of a group: every task reads the
-    group's query-term segment rows (term-pruned parquet read), decodes,
+    group's query-term segment rows (``read_term_rows``), decodes,
     restricts each posting list to [lo, hi) by binary search, and
     accumulates exact scores for its docs.  Doc-sliced tasks keep the
     partial-top-k exact (a doc's whole score is computed where it
@@ -757,17 +760,15 @@ def score_slice(
     terms_here = query_plan_terms(plan, q_lo, q_hi)
     rows_by_term: dict[str, list[dict]] = {}
     if terms_here:
-        # read fresh per task: a per-worker (group, term)→rows LRU was
-        # A/B-measured here (best-of-3 alternating, pinned 16 CPUs,
-        # 8000 q) at NO win — the term-pruned parquet re-read is
-        # page-cached + cheap to decompress, and the cache added heap
-        # pressure.  Negative result; see BASELINE.md round 3.
-        from ..stages.segments import segment_rows_by_term
+        # read fresh per task, but only the row groups whose footer tid
+        # range holds a query term (read_term_rows): a scan of the whole
+        # group decoded every row group to keep a few rows, most of a
+        # single query's task time.  Rows are not cached across tasks: a
+        # per-worker (group, term)→rows LRU measured no win over the
+        # full scan (BASELINE.md round 3) and added heap pressure.
+        from ..stages.segments import read_term_rows, segment_rows_by_term
 
-        seg = pads.dataset(group_dir).to_table(
-            filter=pc.field("term").isin(terms_here)
-        )
-        rows_by_term = segment_rows_by_term(seg)
+        rows_by_term = segment_rows_by_term(read_term_rows(group_dir, terms_here))
     if not rows_by_term and not dense_pad:
         return _EMPTY_PARTIALS
     # decoded (doc, tf_shape - s0) per term, shared across every query
@@ -942,7 +943,10 @@ class Index:
     (module docstring) and the analyzer, plus (read on first use) the
     tombstones, the join-back offsets and a term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
     and snippet entry points all read the index through one handle;
-    only a server keeps it past one call."""
+    only a server keeps it past one call.  The config is the manifest's:
+    a ``cfg`` that differs from it in a ``IndexConfig.semantic`` field
+    raises ``ValueError`` naming the fields, so no reader tokenizes its
+    queries with another analyzer than the index's."""
 
     def __init__(
         self,
@@ -952,7 +956,12 @@ class Index:
         groups: list[int] | None = None,
     ):
         self.index_dir, self.man = index_dir, man
-        self.cfg = cfg or IndexConfig.from_dict(man.config)
+        # the index's own analyzer: a reader's cfg may only restate it
+        self.cfg = IndexConfig.from_dict(man.config)
+        if cfg is not None and (fields := self.cfg.semantic_diff(cfg)):
+            raise ValueError(
+                f"config differs from the index's own in {fields}; open the "
+                "index with its own config (cfg=None)")
         self.num_docs = int(man.stats["num_docs"])
         # exclusive bound on the doc ids: num_docs unless a group records
         # ids past it (a documents index with holes or offset ids)
@@ -1025,13 +1034,15 @@ class Index:
         return int(self.man.groups[str(g)]["norms_lo"])
 
     def df_of(self, terms: list[str]) -> dict[str, int]:
-        """In-vocab terms → df; one term-pruned vocab read for the terms
-        this handle has not looked up yet (None = known absent)."""
+        """In-vocab terms → df; one read of the vocab row groups that
+        hold the terms this handle has not looked up yet (None = known
+        absent)."""
+        from ..stages.segments import read_term_rows
+
         lookup = [t for t in terms if t not in self._df]
         if lookup:
-            v = pads.dataset(os.path.join(self.index_dir, VOCAB_DIR)).to_table(
-                columns=["term", "df"], filter=pc.field("term").isin(lookup)
-            )
+            v = read_term_rows(os.path.join(self.index_dir, VOCAB_DIR), lookup,
+                               key="term", columns=["term", "df"])
             fresh = dict(zip(v.column("term").to_pylist(), v.column("df").to_pylist()))
             for t in lookup:
                 self._df[t] = fresh.get(t)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 
@@ -101,12 +100,9 @@ class GroupScorer:
         missing = [t for t in terms if t not in self.rows]
         if not missing:
             return
-        from ..stages.segments import segment_rows_by_term
+        from ..stages.segments import read_term_rows, segment_rows_by_term
 
-        seg = pads.dataset(self.group_dir).to_table(
-            filter=pc.field("term").isin(missing)
-        )
-        self.rows.update(segment_rows_by_term(seg))
+        self.rows.update(segment_rows_by_term(read_term_rows(self.group_dir, missing)))
         for t in missing:
             self.rows.setdefault(t, None)
 

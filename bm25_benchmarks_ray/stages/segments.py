@@ -101,9 +101,9 @@ RUN_SCHEMA = pa.schema(
 RUN_POS_SCHEMA = RUN_SCHEMA.append(pa.field("poss", pa.binary()))
 
 # A group's positions live in ``<group dir>/_positions/*.parquet`` (the
-# leading ``_`` keeps them out of every segment read: pyarrow and Ray
-# Data skip ``_``-prefixed names), one row per segment row the merge
-# writes.  ``doc_ids``/``tfs`` are that segment row's own streams (tf ==
+# leading ``_`` keeps them out of every segment read: ``read_term_rows``,
+# pyarrow and Ray Data skip ``_``-prefixed names), one row per segment
+# row the merge writes.  ``doc_ids``/``tfs`` are that segment row's own streams (tf ==
 # positions per posting), so the rows are self-contained for phrase
 # reads and for compaction, which merges them in place of the segments.
 POSITIONS_DIR = "_positions"
@@ -131,6 +131,128 @@ def term_ids(terms) -> np.ndarray:
 
     arr = np.asarray(terms, dtype=object)
     return pd.util.hash_array(arr, categorize=False)
+
+
+# Rows per Parquet row group in every segment, positions and vocab file
+# the index writes.  Those files are sorted by their key (``tid`` for
+# segment and position rows, ``term`` for the vocab), so each row
+# group's min/max in the file footer brackets a narrow key range: the
+# footer is the term dictionary that ``read_term_rows`` looks terms up
+# in, Lucene's term-to-file-pointer index without a file of its own.
+# Against 256 rows (1 CPU, 16k-turn index, 4-term reads): 512 reads
+# 10-20% slower per query but writes ~7% fewer segment bytes and builds
+# and compacts faster.
+ROW_GROUP_ROWS = 512
+# The write options of those files.  Dictionary encoding only for the
+# columns whose values repeat across rows (small counts, rare terms' tf
+# streams, short rows' skip and bound blobs); ``term``, ``tid``, ``d0``,
+# ``doc_ids``, ``blk_doc0`` and ``poss`` are near unique, so a
+# dictionary page per row group only adds bytes.  The 16k-turn index's segments:
+# 803 KB this way, 837 KB with no dictionary, 845 KB with every column
+# dictionary-encoded (847 KB with ``term`` alone); reads measured alike.
+PARQUET_WRITE_ARGS = {
+    "row_group_size": ROW_GROUP_ROWS,
+    "use_dictionary": ["df", "sum_tf", "tfs", "bmax_tf", "bmin_dl",
+                       "blk_off_doc", "blk_off_tf"],
+}
+
+# Per-process cache of parquet footers, keyed on the file's identity
+# like the norms cache (query._NORMS_CACHE): readers outlive index
+# rewrites, and append and compaction publish new files.  It holds
+# metadata, never an open file, so a compaction's deleted files are not
+# kept open.  Each entry also keeps, per key column, the row groups'
+# (min, max) arrays and the row groups without statistics.
+_FOOTER_CACHE: dict[tuple, tuple] = {}
+_FOOTER_CACHE_MAX = 4096
+
+
+def _footer(path: str) -> tuple:
+    """(FileMetaData, {key column: ``_key_bounds``}) of a file."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    st = os.stat(path)
+    key = (path, st.st_ino, st.st_mtime_ns, st.st_size)
+    hit = _FOOTER_CACHE.get(key)
+    if hit is None:
+        if len(_FOOTER_CACHE) >= _FOOTER_CACHE_MAX:
+            _FOOTER_CACHE.clear()
+        hit = _FOOTER_CACHE[key] = (pq.read_metadata(path), {})
+    return hit
+
+
+def _key_bounds(footer: tuple, col: str, dtype: np.dtype) -> tuple:
+    """Per row group of the file: the (min, max) of column ``col`` as
+    ``dtype`` arrays, and whether the row group lacks them (its min and
+    max then read as a blank value)."""
+    md, bounds = footer
+    b = bounds.get(col)
+    if b is None:
+        j = md.schema.names.index(col)
+        stats = [md.row_group(i).column(j).statistics
+                 for i in range(md.num_row_groups)]
+        blind = np.asarray([s is None or not s.has_min_max for s in stats], dtype=bool)
+        blank = "" if dtype == object else dtype.type(0)
+        b = bounds[col] = (
+            np.asarray([blank if x else s.min for s, x in zip(stats, blind)], dtype),
+            np.asarray([blank if x else s.max for s, x in zip(stats, blind)], dtype),
+            blind,
+        )
+    return b
+
+
+def read_term_rows(
+    directory: str, terms, key: str = "tid", columns: list[str] | None = None
+) -> pa.Table:
+    """The rows of ``directory``'s top-level parquet files whose ``term``
+    is one of ``terms`` (the rows a ``term isin(terms)`` scan of the
+    directory returns, in no set order).  Entries named ``_*`` or ``.*``
+    (``_norms.npy``, ``_positions/``, temporaries) are skipped.
+
+    Each file's footer (``_footer``) says which row groups can hold a
+    wanted key: those whose min ≤ key ≤ max for some key, where the key
+    is the term's ``tid`` (``key="tid"``, segment and position rows) or
+    the term itself (``key="term"``, the vocab).  Only those row groups
+    are read, and of their rows only the wanted terms' are kept, so a
+    tid collision reads what the scan reads.  A row group without
+    statistics is always read.  Any layout reads correctly (an index
+    whose files are one row group each reads every row group); files
+    sorted by the key in small row groups (``ROW_GROUP_ROWS``) read
+    little more than the terms' own rows.  ``columns`` (None: all)
+    must hold ``term``."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    terms = sorted(set(terms))
+    keys = (np.sort(term_ids(terms)) if key == "tid"
+            else np.asarray(terms, dtype=object))
+    try:
+        names = sorted(
+            e.name for e in os.scandir(directory)
+            if e.name.endswith(".parquet") and e.name[0] not in "_." and e.is_file()
+        )
+    except FileNotFoundError:  # a group without postings
+        names = []
+    parts = []
+    for name in names:
+        path = os.path.join(directory, name)
+        footer = _footer(path)
+        mins, maxs, blind = _key_bounds(footer, key, keys.dtype)
+        rgs = np.flatnonzero(blind | (np.searchsorted(keys, mins, side="left")
+                                      < np.searchsorted(keys, maxs, side="right")))
+        if rgs.size:
+            parts.append(pq.ParquetFile(path, metadata=footer[0]).read_row_groups(
+                rgs.tolist(), columns=columns, use_threads=False))
+    if parts:
+        t = pa.concat_tables(parts) if len(parts) > 1 else parts[0]
+        return t.filter(pc.is_in(t.column("term"), value_set=pa.array(terms, pa.string())))
+    if not names:
+        return pa.table({c: pa.array([], pa.null()) for c in columns or []})
+    empty = _footer(os.path.join(directory, names[0]))[0].schema.to_arrow_schema().empty_table()
+    return empty if columns is None else empty.select(columns)
 
 
 def _block_bounds(
@@ -590,7 +712,7 @@ def _write_positions(positions_dir: str, tbl: pa.Table) -> None:
     os.makedirs(positions_dir, exist_ok=True)
     name = f"{int(tbl['tid'][0].as_py()):016x}-{int(tbl['d0'][0].as_py())}.parquet"
     tmp = os.path.join(positions_dir, f"_{uuid.uuid4().hex}.tmp")
-    pq.write_table(tbl, tmp)
+    pq.write_table(tbl, tmp, **PARQUET_WRITE_ARGS)
     os.replace(tmp, os.path.join(positions_dir, name))
 
 

@@ -130,3 +130,40 @@ def test_traced_search_resolves_every_target(cased):
     assert sum(s.name == "manifest.load" for s in root.walk()) == 1
     for owner, attr, _ in _targets():
         assert not hasattr(getattr(owner, attr), "__wrapped__"), attr
+
+
+def test_reader_cfg_cannot_replace_the_analyzer(ray_session, tmp_path):
+    """A 300-doc, 2-group index built without stemming: "running dogs"
+    matches docs 2, 8, 14, ... (the unstemmed terms).  A reader's cfg
+    that stems would read the query as "run dog" and rank docs 1, 7,
+    13, ... instead; every reader refuses it, naming the field, while a
+    cfg that differs only in a physical knob reads as the index does."""
+    from bm25_benchmarks_ray.pipelines.query import Index
+    from bm25_benchmarks_ray.pipelines.serve import BM25Server
+
+    texts = ["run dog" if i % 6 == 1 else "running dogs" if i % 6 == 2
+             else f"cat sits here number{i % 5}" for i in range(300)]
+    p = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(300, dtype=np.int64)),
+        "text": pa.array(texts, type=pa.string()),
+    }), p)
+    idx = str(tmp_path / "index")
+    built = IndexConfig(stopwords="en", stemmer="none")
+    build_index(p, idx, built, mode="documents", n_groups=2)
+    q = [("q", "running dogs")]
+    got = search(idx, q, k=3, join_back=False)
+    assert got.column("doc_id").to_pylist() == [2, 8, 14]
+
+    stemmed = IndexConfig(stopwords="en", stemmer="snowball")
+    for call in (
+        lambda: search(idx, q, cfg=stemmed),
+        lambda: Index.open(idx, stemmed),
+        lambda: BM25Server(idx, cfg=stemmed),
+        lambda: bool_and_topk(idx, q, cfg=stemmed),
+        lambda: bool_query_topk(idx, [("q", "running", "dogs", "")], cfg=stemmed),
+    ):
+        with pytest.raises(ValueError, match=r"\['stemmer'\]"):
+            call()
+    same = IndexConfig(stopwords="en", stemmer="none", tokenize_batch_size=64)
+    assert search(idx, q, k=3, join_back=False, cfg=same).equals(got)

@@ -517,6 +517,52 @@ def test_bool_batches_on_tombstoned_index(ray_session, tmp_path):
     assert got.equals(_per_query_masked(idx, jobs, len(texts), 10))
 
 
+def test_bool_slices_are_task_returns(ray_session, tmp_path, monkeypatch):
+    """Boolean phase 1 publishes each (spec, group) eligibility slice as
+    the ``_group_eligibility`` task's own return object: the driver
+    puts only the spec plans and at most one zeros shard per group,
+    whatever the number of specs, and the batch still equals one
+    search(allowed=bitmap) per query."""
+    from bm25_benchmarks_ray.pipelines import phrase
+
+    texts = _mk_texts(120, seed=13)
+    d = tmp_path / "docs"
+    d.mkdir()
+    t = pa.table({"doc_id": pa.array(np.arange(120, dtype=np.int64)),
+                  "text": pa.array(texts, type=pa.string())})
+    pq.write_table(t.slice(0, 60), str(d / "a.parquet"))
+    pq.write_table(t.slice(60), str(d / "b.parquet"))
+    idx = str(tmp_path / "index")
+    build_index(str(d), idx, IndexConfig(stopwords="en", stemmer="none"),
+                mode="documents", n_groups=2)
+    kept = [set(_kept(x)) for x in texts]
+    specs = [(f"c{i}", must, "", not_) for i, (must, not_) in enumerate([
+        ("alpha", ""), ("beta", "gamma"), ("gamma delta", ""),
+        ("delta", "alpha"), ("kappa", ""), ("alpha beta", "delta"),
+    ])]
+
+    puts = []
+    real = phrase.ray
+
+    class _CountingRay:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def put(self, value):
+            puts.append(value)
+            return real.put(value)
+
+    monkeypatch.setattr(phrase, "ray", _CountingRay())
+    got = phrase.bool_query_topk(idx, specs, k=10).to_pandas()
+    assert 1 <= len(puts) <= 1 + 2
+    jobs = []
+    for q, must, _, must_not in specs:
+        m, n = set(_kept(must)), set(_kept(must_not))
+        jobs.append((q, must, [d for d, ks in enumerate(kept)
+                               if m <= ks and not n & ks]))
+    assert got.equals(_per_query_masked(idx, jobs, len(texts), 10))
+
+
 def test_near_randomized_sweep(corpus):
     """Randomized hardening of the chain-DP: many (phrase, gap) combos
     over the module corpus, each checked doc-for-doc against the
