@@ -392,7 +392,7 @@ def run_ext_bench(docs_sf: float = 1.0, n_events: int = 10_000_000) -> dict:
         for i in range(16)
     ]
     pix = Index.open(pidx)
-    ranges = sorted(pix.ranges.values())
+    ranges = sorted(pix.spans.values())
     nd = pix.num_docs
     t0 = time.perf_counter()
     ids = rd.read_parquet(dpath, columns=["doc_id"]).map_batches(

@@ -367,7 +367,7 @@ def q_bm25_topk_filtered(sf_dir: str, method: str = "lucene", k: int = 10):
         lambda b: b.filter(pc.equal(b.column("lang"), "en")).select(["doc_id"]),
         batch_format="pyarrow",
     )
-    bm = allowed_shards(ids, index.num_docs, sorted(index.ranges.values()))
+    bm = allowed_shards(ids, index.num_docs, sorted(index.spans.values()))
     res = search(
         index,
         DOC_QUERIES,

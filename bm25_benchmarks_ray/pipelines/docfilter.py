@@ -21,15 +21,15 @@ job — built on this same bitmap.)
 
 Scale note: one bitmap over 10^12 docs is 125 GB — fine in a cluster
 object store but too big to ship to every node.  ``BitmapShards`` is
-the sharded publication: per-group byte slices keyed by the manifest's
-contiguous (doc_lo, doc_hi) ranges, each ``ray.put`` as its OWN
+the sharded publication: per-group byte slices keyed by the groups'
+spans [doc_lo, doc_hi) in the manifest, each ``ray.put`` as its OWN
 object, so a scoring task fetches only its group's slice (the object
 store moves range/8 bytes to that node, never the corpus-wide array).
 Shards are the only mask form the scorers read: ``search`` and
 ``serve.BM25Server`` compose every filter, tombstone set and boolean
 eligibility bitmap into them (``query.compose_masks``), which needs
-the manifest's per-group doc ranges (every index this engine writes
-records them).  Building shards never needs the corpus-wide array on
+the spans disjoint (every group records one; only interleaved groups
+overlap).  Building shards never needs the corpus-wide array on
 the driver either: ``compose_shards`` holds one group's slice at a
 time, and ``allowed_shards`` holds at most the slices of the groups its
 ids touch — the matched id span's bitmap, ≤ ``id_bound/8`` bytes — with

@@ -156,104 +156,6 @@ def _inventory_hash(files: list[str], rows: list[int]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _group_doc_range(
-    g_files: list[str],
-    g_rows: int,
-    mode: str,
-    offsets: pd.DataFrame | None,
-) -> tuple[int, int] | None:
-    """Exact [doc_lo, doc_hi) for a group when its docs form a contiguous
-    id range, else None (query falls back to global-slice scoring).
-
-    Contiguous per-group ranges are what make the doc-partitioned query
-    scatter exact for dense-id padding: a slice task that knows its own
-    [lo, hi) can enumerate its *unmatched* docs (they score exactly the
-    query constant in the reference's dense-vector semantics) without any
-    global state.  documents mode reads parquet column statistics (no
-    data IO); transcripts mode does one narrow (conv_id, turn_idx) pass
-    per group — a small fraction of the tokenize read that follows."""
-    if mode == "documents":
-        lo, hi = None, None
-        for f in g_files:
-            md = pq.ParquetFile(f).metadata
-            try:
-                ci = [md.schema.column(i).name for i in range(md.num_columns)].index(
-                    "doc_id"
-                )
-            except ValueError:
-                return None
-            for rg in range(md.num_row_groups):
-                st = md.row_group(rg).column(ci).statistics
-                if st is None or st.min is None:
-                    return None
-                lo = st.min if lo is None else min(lo, st.min)
-                hi = st.max if hi is None else max(hi, st.max)
-        if lo is None:
-            return None
-        return (int(lo), int(hi) + 1) if int(hi) + 1 - int(lo) == g_rows else None
-    return _transcripts_doc_range(g_files, g_rows, offsets)
-
-
-def _group_doc_bounds(g_files: list[str]) -> tuple[int, int] | None:
-    """Bounding [min_id, max_id+1) of a documents-mode group from
-    parquet column statistics (no data IO) — unlike _group_doc_range it
-    does NOT require contiguity, so it is always usable for append
-    overlap VALIDATION (conservative: a hole inside the bound makes the
-    check stricter, never unsafe).  None when stats are missing."""
-    lo, hi = None, None
-    for f in g_files:
-        md = pq.ParquetFile(f).metadata
-        try:
-            ci = [md.schema.column(i).name for i in range(md.num_columns)].index(
-                "doc_id"
-            )
-        except ValueError:
-            return None
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(ci).statistics
-            if st is None or st.min is None:
-                return None
-            lo = st.min if lo is None else min(lo, st.min)
-            hi = st.max if hi is None else max(hi, st.max)
-    if lo is None:
-        return None
-    return (int(lo), int(hi) + 1)
-
-
-def _transcripts_doc_range(
-    g_files: list[str], g_rows: int, offsets: pd.DataFrame | None
-) -> tuple[int, int] | None:
-    # transcripts: doc_id = base[conv] + the turn's rank in its
-    # conversation (turn_idx itself on dense corpora)
-    from ..stages.docids import offsets_are_dense, sparse_doc_ids, turn_keys
-
-    if offsets is None:
-        return None
-    if g_rows <= DRIVER_SIDE_ROWS:
-        t = pads.dataset(g_files).to_table(columns=["conv_id", "turn_idx"])
-        if offsets_are_dense(offsets):
-            conv = t.column("conv_id").to_pandas()
-            base = conv.map(
-                dict(zip(offsets["conv_id"], offsets["base"].astype(np.int64)))
-            ).to_numpy(dtype=np.int64)
-            doc = base + t.column("turn_idx").to_numpy().astype(np.int64)
-        else:
-            doc = sparse_doc_ids(
-                turn_keys(offsets),
-                t.column("conv_id").to_numpy(zero_copy_only=False),
-                t.column("turn_idx").to_numpy(),
-            )
-        lo, hi = int(doc.min()), int(doc.max()) + 1
-    else:
-        from ray.data.aggregate import Max, Min
-
-        ds = rd.read_parquet(g_files, columns=["conv_id", "turn_idx"])
-        ds = assign_doc_ids(ds, offsets)
-        agg = ds.aggregate(Min("doc_id"), Max("doc_id"))
-        lo, hi = int(agg["min(doc_id)"]), int(agg["max(doc_id)"]) + 1
-    return (lo, hi) if hi - lo == g_rows else None
-
-
 def _shuffle_partitions(cfg: IndexConfig) -> int:
     """Shuffle width: 3× CPUs — enough partitions that one heavy
     term-range (hot terms cost ~ postings, not rows) can't straggle the
@@ -349,12 +251,10 @@ def _build_group_segments(
 def _publish_group(
     index_dir: str, man: Manifest, gid: int, tmp: str, entry: dict
 ) -> None:
-    """Scatter the tmp group dir's norms parts into its norms array,
-    rename the dir into place — segments, norms and positions publish
-    together — and record the group in the manifest."""
-    from ..state.norms import build_norms
-
-    build_norms(index_dir, man, tmp, entry)
+    """Rename a sealed tmp group dir (``build_norms`` has written its
+    norms and set its span in ``entry``) into place — segments, norms
+    and positions publish together — and record the group in the
+    manifest."""
     out_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
     if os.path.exists(out_dir):
         shutil.rmtree(out_dir)
@@ -465,6 +365,8 @@ def build_index(
         prime_fsspec_http()  # threaded path resolution races otherwise
     import threading
 
+    from ..state.norms import build_norms
+
     man_lock = threading.Lock()
 
     def _build_one(gid: int, file_idx: list[int]) -> None:
@@ -490,23 +392,14 @@ def build_index(
         tmp = _build_group_segments(
             ds, cfg, g_dir, two_level, overlap=overlap, g_rows=g_rows
         )
-        rng = _group_doc_range(g_files, g_rows, mode, offsets)
-        bnd = (
-            rng
-            if rng is not None
-            else (_group_doc_bounds(g_files) if mode == "documents" else None)
-        )
         entry = dict(
             input_files=[os.path.basename(f) for f in g_files],
             input_ids=_file_ids(g_files, [rows[i] for i in file_idx]),
             n_docs=g_rows,
-            doc_lo=rng[0] if rng else None,
-            doc_hi=rng[1] if rng else None,
-            doc_bound_lo=bnd[0] if bnd else None,
-            doc_bound_hi=bnd[1] if bnd else None,
             two_level=two_level,
             wall_s=round(time.perf_counter() - t0, 3),
         )
+        build_norms(index_dir, man, tmp, entry)
         with man_lock:
             _publish_group(index_dir, man, gid, tmp, entry)
 
@@ -593,14 +486,17 @@ def append_index(
 
     Requirements (validated): the index was built with the same config
     fingerprint (a ``cfg`` that differs raises ``ValueError`` naming the
-    differing fields), the new files are not already part of the index, and
-    the new doc_id range does not overlap any existing group's
-    [doc_lo, doc_hi) — documents mode carries explicit ids, so
-    disjointness is the caller's contract (transcripts mode assigns ids
-    by global rank, where "append" is semantically a rebuild).
+    differing fields), the new files are not already part of the index,
+    no new group holds a doc id twice, and each new group's span (set
+    by its norms pass, ``state/norms.py``) overlaps no existing group's
+    [doc_lo, doc_hi) nor another new group's — documents mode carries
+    explicit ids, so disjointness is the caller's contract (transcripts
+    mode assigns ids by global rank, where "append" is semantically a
+    rebuild).  Every new group is built and checked before the first is
+    published.
 
     Crash-resumable: each appended group checkpoints in the manifest the
-    moment its atomic segment write lands, so re-running the same append
+    moment its directory is published, so re-running the same append
     after a crash skips files already recorded (their groups are done)
     and builds only the rest, then repairs the bookkeeping (group count,
     finalize, inventory).  Only a complete index, or one whose
@@ -651,59 +547,60 @@ def append_index(
         sub_rows = [rows[i] for i in new_i]
         groups = _plan_groups(sub_files, sub_rows, None, overlap=1)
         base_gid = 1 + max(int(g) for g in man.groups)
-        # bounding ranges (doc_bound_*) validate even non-contiguous
-        # groups — e.g. a compacted group whose folded ids have holes
-        old_ranges = []
-        for e in man.groups.values():
-            if e.get("doc_lo") is not None:
-                old_ranges.append((e["doc_lo"], e["doc_hi"]))
-            elif e.get("doc_bound_lo") is not None:
-                old_ranges.append((e["doc_bound_lo"], e["doc_bound_hi"]))
-        # validate EVERY planned group's doc range BEFORE mutating the
-        # manifest: a rejected append must leave the index exactly as
-        # found (finalized), not cleared-and-aborted
-        g_plans = []
-        for off, file_idx in enumerate(groups):
-            g_files = [sub_files[i] for i in file_idx]
-            g_frows = [sub_rows[i] for i in file_idx]
-            g_rows = sum(g_frows)
-            rng = _group_doc_range(g_files, g_rows, "documents", None)
-            bnd = rng if rng is not None else _group_doc_bounds(g_files)
-            # validate against the BOUNDING range: non-contiguous inputs
-            # must not bypass the disjointness contract
-            chk = bnd or rng
-            for lo, hi in old_ranges:
-                if chk is not None and chk[0] < hi and lo < chk[1]:
-                    raise ValueError(
-                        f"new doc_id range {chk} overlaps existing group [{lo}, {hi})"
-                    )
-            g_plans.append((g_files, g_frows, g_rows, rng, bnd))
+        # build and seal every new group before touching the manifest:
+        # its norms pass records the span its ids cover, and that span is
+        # checked against the existing ones and the other new ones; a
+        # rejected append removes its tmp dirs and leaves the index
+        # exactly as found (finalized)
+        from ..state.norms import build_norms
+
+        sealed = []
+        try:
+            for off, file_idx in enumerate(groups):
+                gid = base_gid + off
+                g_files = [sub_files[i] for i in file_idx]
+                g_frows = [sub_rows[i] for i in file_idx]
+                g_rows = sum(g_frows)
+                t0 = time.perf_counter()
+                nblocks = min(_shuffle_partitions(cfg), max(1, g_rows // 1000))
+                ds = rd.read_parquet(
+                    g_files, columns=["doc_id", "text"], override_num_blocks=nblocks
+                )
+                g_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
+                two_level = g_rows > cfg.salt_range * 64
+                tmp = _build_group_segments(ds, cfg, g_dir, two_level, g_rows=g_rows)
+                entry = dict(
+                    input_files=[os.path.basename(f) for f in g_files],
+                    input_ids=_file_ids(g_files, g_frows),
+                    n_docs=g_rows,
+                    two_level=two_level,
+                    wall_s=round(time.perf_counter() - t0, 3),
+                )
+                build_norms(index_dir, man, tmp, entry)
+                sealed.append((gid, tmp, entry))
+            taken = [(e["doc_lo"], e["doc_hi"], "existing group")
+                     for e in man.groups.values()]
+            for _, _, e in sealed:
+                lo, hi = e["doc_lo"], e["doc_hi"]
+                for a, b, what in taken:
+                    if lo < b and a < hi:
+                        raise ValueError(
+                            f"new doc_id span [{lo}, {hi}) overlaps {what} [{a}, {b})"
+                        )
+                taken.append((lo, hi, "another new group"))
+        except Exception:
+            for off in range(len(groups)):
+                shutil.rmtree(
+                    os.path.join(index_dir, SEGMENTS_DIR, f"group={base_gid + off}.tmp"),
+                    ignore_errors=True,
+                )
+            raise
         # clear finalize BEFORE any new postings land: stale global stats
         # must not masquerade as current if we crash mid-append
         man.stages.pop("finalize", None)
         man.save()
-        for off, (g_files, g_frows, g_rows, rng, bnd) in enumerate(g_plans):
-            gid = base_gid + off
-            t0 = time.perf_counter()
-            nblocks = min(_shuffle_partitions(cfg), max(1, g_rows // 1000))
-            ds = rd.read_parquet(
-                g_files, columns=["doc_id", "text"], override_num_blocks=nblocks
-            )
-            g_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={gid}")
-            tmp = _build_group_segments(
-                ds, cfg, g_dir, g_rows > cfg.salt_range * 64, g_rows=g_rows
-            )
-            _publish_group(index_dir, man, gid, tmp, dict(
-                input_files=[os.path.basename(f) for f in g_files],
-                input_ids=_file_ids(g_files, g_frows),
-                n_docs=g_rows,
-                doc_lo=rng[0] if rng else None,
-                doc_hi=rng[1] if rng else None,
-                doc_bound_lo=bnd[0] if bnd else None,
-                doc_bound_hi=bnd[1] if bnd else None,
-                two_level=g_rows > cfg.salt_range * 64,
-                wall_s=round(time.perf_counter() - t0, 3),
-            ))
+        for gid, tmp, entry in sealed:
+            _publish_group(index_dir, man, gid, tmp, entry)
         # inventory reflects the grown file set: chain the appended
         # batch's hash onto the existing identity (chained only on
         # success, over the full requested batch — a crash-retry ends
@@ -746,11 +643,7 @@ def docmap_from_offsets(offsets: pd.DataFrame, doc_ids: np.ndarray) -> pd.DataFr
     )
 
 
-def compact_index(
-    index_dir: str,
-    gids: list[int] | None = None,
-    cfg: IndexConfig | None = None,
-) -> Manifest:
+def compact_index(index_dir: str, gids: list[int] | None = None) -> Manifest:
     """Merge segment groups into one (Lucene merge-policy analogue):
     the maintenance pass after many :func:`append_index` calls have
     accumulated small groups.  Reads ONLY the compressed segment rows
@@ -764,13 +657,14 @@ def compact_index(
     query plans shrink from len(gids) groups' term lookups to one.
     The merged group's norms array is the source arrays placed at their
     offsets, written before the merge (whose per-block min dl reads it)
-    and published with the merged segments.  An index with positions
+    and published with the merged segments; its span is the merged
+    group's span, and its ``n_docs`` the sources' sum.  The block size
+    is the index's own (its manifest config).  An index with positions
     merges the sources' position rows instead of their segment rows
     (they carry the same doc and tf streams), so one pass writes the
     merged segments and, as the merge's side output, the merged
     positions.
     """
-    cfg = cfg or IndexConfig()
     man = Manifest.load(index_dir)
     if man is None or not man.is_complete():
         raise ValueError(f"compact_index requires a complete index at {index_dir!r}")
@@ -781,7 +675,7 @@ def compact_index(
     missing = set(gids) - set(all_gids)
     if missing:
         raise ValueError(f"groups not in index: {sorted(missing)}")
-    block_size = int(man.config.get("block_size", cfg.block_size))
+    block_size = int(man.config["block_size"])
 
     from ..stages.segments import make_compact_merge
     from ..state.norms import NORMS_FILE, build_norms
@@ -837,7 +731,7 @@ def compact_index(
         ds = ds.map_batches(add_d0, batch_format="pyarrow")
     merged = ds.sort(["tid", "d0"], boundaries=bounds).map_batches(
         make_compact_merge(
-            block_size, os.path.join(out_dir, NORMS_FILE), norms_entry["norms_lo"],
+            block_size, os.path.join(out_dir, NORMS_FILE), norms_entry["doc_lo"],
             os.path.join(out_dir, POSITIONS_DIR) if positions else None,
         ),
         batch_format="pyarrow", batch_size=None,
@@ -845,27 +739,6 @@ def compact_index(
     merged.write_parquet(out_dir, **PARQUET_WRITE_ARGS)
 
     entries = [man.groups[str(g)] for g in gids]
-    spans = [
-        (e["doc_lo"], e["doc_hi"]) for e in entries if e.get("doc_lo") is not None
-    ]
-    lo = hi = None
-    if len(spans) == len(entries):
-        spans.sort()
-        if all(a[1] == b[0] for a, b in zip(spans, spans[1:])):
-            lo, hi = spans[0][0], spans[-1][1]
-    # bounding range survives even when the folded ids have holes —
-    # future appends validate disjointness against it (conservative)
-    bspans = [
-        (
-            e["doc_lo"] if e.get("doc_lo") is not None else e.get("doc_bound_lo"),
-            e["doc_hi"] if e.get("doc_lo") is not None else e.get("doc_bound_hi"),
-        )
-        for e in entries
-    ]
-    blo = bhi = None
-    if all(s[0] is not None for s in bspans):
-        blo = min(s[0] for s in bspans)
-        bhi = max(s[1] for s in bspans)
     final_dir = os.path.join(index_dir, SEGMENTS_DIR, f"group={new_gid}")
     # atomic swap: stash the old group, promote the merged one, then
     # drop the other sources; a crash in between leaves extra dirs that
@@ -894,10 +767,6 @@ def compact_index(
             else {}
         ),
         n_docs=sum(e["n_docs"] for e in entries),
-        doc_lo=lo,
-        doc_hi=hi,
-        doc_bound_lo=blo,
-        doc_bound_hi=bhi,
         two_level=any(e.get("two_level") for e in entries),
         wall_s=round(time.perf_counter() - t0, 3),
         compacted_from=gids,

@@ -192,11 +192,9 @@ def _postings_bitmaps(
     out: list[BitmapShards | None] = [None] * len(specs)
     if not plans:
         return out
-    # shards are cut by ascending doc range; a group without a recorded
-    # range spans the whole id space (masked search rejects such an
-    # index, but candidate_bitmap ORs the slices all the same)
-    spans = sorted((index.ranges.get(g, (0, index.id_bound)), g)
-                   for g in index.gids)
+    # shards are cut by ascending group span (masked search rejects
+    # overlapping spans, but candidate_bitmap ORs the slices all the same)
+    spans = sorted((index.spans[g], g) for g in index.gids)
     plans_ref = ray.put(plans)
     task = _group_eligibility.options(num_returns=1 + len(plans))
     refs = [
@@ -245,7 +243,7 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 @ray.remote
 def _positions_counts(
     group_dir: str,
-    norms_lo: int,
+    doc_lo: int,
     phrases: list[list[str]],
     block_size: int,
     gap: int,
@@ -256,7 +254,7 @@ def _positions_counts(
     phrase terms' position rows resolves every query's occurrence
     count without touching the corpus text.  Per query: each phrase
     slot's occurrences become sorted uint64 keys
-    ((doc - norms_lo) << 32) | kept_pos; gap=1 is membership (key p
+    ((doc - doc_lo) << 32) | kept_pos; gap=1 is membership (key p
     matches iff p+j is present for every slot j), gap>1 a backward DP:
     a position of term j chains iff the NEAREST chaining position of
     term j+1 strictly after it is within ``gap`` in the same doc (if
@@ -268,10 +266,9 @@ def _positions_counts(
     from .positions import positions_for_terms
     from .query import _group_norms
 
-    lo = norms_lo
     pmap = positions_for_terms(
         group_dir, sorted({t for toks in phrases for t in toks}), block_size)
-    norms = _group_norms(group_dir, lo)[0] if pmap else None
+    norms = _group_norms(group_dir, doc_lo)[0] if pmap else None
     key_cache: dict[str, np.ndarray] = {}
 
     def keys_of(t: str) -> np.ndarray | None:
@@ -283,7 +280,7 @@ def _positions_counts(
             docs, counts, pos_abs = v
             # sorted: docs ascending, positions ascending in doc
             ks = key_cache[t] = (
-                (np.repeat((docs - lo).astype(np.uint64), counts)
+                (np.repeat((docs - doc_lo).astype(np.uint64), counts)
                  << np.uint64(32))
                 | pos_abs.astype(np.uint64)
             )
@@ -335,7 +332,7 @@ def _positions_counts(
     if not out_q:
         return np.empty(0, dtype=np.int32), _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
     doc_rel = np.concatenate(out_d)
-    return (np.concatenate(out_q), doc_rel + lo, np.concatenate(out_tf),
+    return (np.concatenate(out_q), doc_rel + doc_lo, np.concatenate(out_tf),
             norms[doc_rel].astype(np.int64))
 
 
@@ -418,7 +415,7 @@ def phrase_topk(
         return _RANKED_SCHEMA.empty_table()
     phrases = ray.put([toks for _, toks in tokenized])
     parts = ray.get([
-        _positions_counts.remote(index.group_dir(g), index.norms_lo(g),
+        _positions_counts.remote(index.group_dir(g), index.spans[g][0],
                                  phrases, index.cfg.block_size, gap)
         for g in index.gids
     ])

@@ -40,17 +40,20 @@ Rank-identicality corner: the reference ranks a dense score vector over
 (0 for lucene/atire/robertson; the delta-driven shift for bm25l/+).
 Unmatched docs therefore participate in the ranking by score — with
 robertson's negative idf (df > N/2) matched docs can score BELOW the
-query constant, in which case unmatched docs outrank them.  Each slice
-task knows its exact doc range (per-group [doc_lo, doc_hi) recorded in
-the manifest at build time), so it merges its k lowest unmatched doc
-ids at score == qconst into its local top-k; the global merge then
-ranks all partials uniformly by (score desc, doc_id asc).  For queries
-whose in-group weights are all positive this padding is skipped
-whenever k matched docs exist (they strictly beat qconst).  Indexes
-whose groups lack contiguous doc ranges fall back to merge-side
-append-padding from [0, num_docs) (exact only for non-negative-idf
-scoring) when those are provably their ids; otherwise they return
-matched docs only.
+query constant, in which case unmatched docs outrank them.  Each
+group's manifest entry records its span [doc_lo, doc_hi) (set by the
+norms pass, state/norms.py).  When the spans are disjoint and exact
+(``n_docs == doc_hi - doc_lo``: no hole), each slice task knows every
+doc of its range, so it merges its k lowest unmatched doc ids at
+score == qconst into its local top-k; the global merge then ranks all
+partials uniformly by (score desc, doc_id asc).  For queries whose
+in-group weights are all positive this padding is skipped whenever k
+matched docs exist (they strictly beat qconst).  Indexes whose spans
+overlap (interleaved groups) fall back to merge-side append-padding
+from [0, num_docs) (exact only for non-negative-idf scoring) when those
+are provably their ids; disjoint spans with holes return matched docs
+only.  Masks (filters, tombstones) are cut into per-group shards by the
+spans, so they need the spans disjoint, holes or not.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ class _DecodeCache:
         self._decode = decode_segment
         self.block_size, self.lo, self.hi = block_size, lo, hi
         self.params, self.avgdl, self.s0 = params, avgdl, s0
-        # the group's (norms array, norms_lo): every posting's dl
+        # the group's (norms array, doc_lo): every posting's dl
         # (state/norms.py) — segment rows carry none
         self.norms = norms
         self.data: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -685,8 +688,8 @@ def query_plan_terms(plan: dict, q_lo: int, q_hi: int) -> list[str]:
 _NORMS_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _group_norms(group_dir: str, norms_lo: int) -> tuple[np.ndarray, int]:
-    """(norms mmap, norms_lo) for one group directory."""
+def _group_norms(group_dir: str, doc_lo: int) -> tuple[np.ndarray, int]:
+    """(norms mmap, doc_lo) for one group directory."""
     from ..state.norms import NORMS_FILE, load_group_norms
 
     st = os.stat(os.path.join(group_dir, NORMS_FILE))
@@ -696,7 +699,7 @@ def _group_norms(group_dir: str, norms_lo: int) -> tuple[np.ndarray, int]:
         if len(_NORMS_CACHE) > 64:
             _NORMS_CACHE.clear()
         arr = _NORMS_CACHE[key] = load_group_norms(group_dir)
-    return arr, norms_lo
+    return arr, doc_lo
 
 
 def _partials_table(
@@ -734,7 +737,7 @@ def score_slice(
     ``plan`` is passed as the ``ray.put`` ref of search()'s plan, so
     Ray resolves it on the worker (one object store copy per node, not
     one per task); ``item`` is one scatter entry
-    ``(group_dir, norms_lo, lo, hi, q_lo, q_hi)``.
+    ``(group_dir, doc_lo, lo, hi, q_lo, q_hi)``.
 
     A build group can be far wider than one task should chew, so the
     scatter unit is a doc-id slice of a group: every task reads the
@@ -745,8 +748,8 @@ def score_slice(
     lives), and parallelism is n_groups × n_slices regardless of how
     many groups the build produced.
 
-    ``dense_pad`` (set when every group has a contiguous doc range
-    covering exactly this slice's [lo, hi)): unmatched docs score
+    ``dense_pad`` (set when the groups' spans are disjoint and exact,
+    so every id in this slice's [lo, hi) is a doc): unmatched docs score
     exactly qconst in the dense-vector reference semantics, so the
     slice merges its k lowest unmatched ids at qconst into its local
     top-k.  Skipped when k matched docs exist with strictly-positive
@@ -756,7 +759,7 @@ def score_slice(
     padding merge stays exact (pruning could otherwise drop a matched
     doc that the pad would then mislabel as unmatched-at-qconst).
     """
-    group_dir, norms_lo, lo, hi, q_lo, q_hi = item
+    group_dir, doc_lo, lo, hi, q_lo, q_hi = item
     terms_here = query_plan_terms(plan, q_lo, q_hi)
     rows_by_term: dict[str, list[dict]] = {}
     if terms_here:
@@ -775,7 +778,7 @@ def score_slice(
     # in this task — hot terms decode once, not per query
     decoded = _DecodeCache(block_size, lo, hi, params, avgdl,
                            nonoccurrence_shape(params),
-                           _group_norms(group_dir, norms_lo))
+                           _group_norms(group_dir, doc_lo))
     return _partials_table(*score_range(
         plan, rows_by_term, params, avgdl, k, block_size,
         lo, hi, q_lo, q_hi, prune, dense_pad, decoded,
@@ -903,44 +906,22 @@ def _empty_query_results(plan: dict, k: int, num_docs: int, legacy_pad: bool) ->
     )
 
 
-def _group_ranges(man: Manifest, gids: list[int]) -> dict[int, tuple[int, int]]:
-    """group -> recorded contiguous [doc_lo, doc_hi); empty when any
-    group lacks a range or two ranges overlap."""
-    ranges: dict[int, tuple[int, int]] = {}
-    for g in gids:
-        e = man.groups[str(g)]
-        if e.get("doc_lo") is None or e.get("doc_hi") is None:
-            return {}
-        ranges[g] = (int(e["doc_lo"]), int(e["doc_hi"]))
-    spans = sorted(ranges.values())
-    if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
-        return {}
-    return ranges
-
-
 def _ids_fill_doc_space(man: Manifest) -> bool:
     """True when the index's doc ids are provably exactly [0, num_docs):
     a transcripts index (ids are ranks under ORDER BY conv_id,
-    turn_idx), or every group's recorded id bound inside [0, num_docs)
-    (num_docs distinct ids there are all of them)."""
-    if man.stage_done("offsets"):
-        return True
+    turn_idx), or every group's span inside [0, num_docs) (num_docs
+    distinct ids there are all of them)."""
     n = int(man.stats["num_docs"])
-    for g in man.done_groups():
-        e = man.groups[str(g)]
-        exact = e.get("doc_lo") is not None
-        lo = e.get("doc_lo") if exact else e.get("doc_bound_lo")
-        hi = e.get("doc_hi") if exact else e.get("doc_bound_hi")
-        if lo is None or hi is None or lo < 0 or hi > n:
-            return False
-    return True
+    return man.stage_done("offsets") or all(
+        0 <= e["doc_lo"] and e["doc_hi"] <= n for e in man.groups.values()
+    )
 
 
 class Index:
     """One open index: the only manifest read of a call, and all the
     query side derives from it — config, collection stats, the groups
-    in scope, their contiguous doc ranges, the padding those allow
-    (module docstring) and the analyzer, plus (read on first use) the
+    in scope, their doc-id spans, the padding those allow (module
+    docstring) and the analyzer, plus (read on first use) the
     tombstones, the join-back offsets and a term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
     and snippet entry points all read the index through one handle;
     only a server keeps it past one call.  The config is the manifest's:
@@ -963,12 +944,11 @@ class Index:
                 f"config differs from the index's own in {fields}; open the "
                 "index with its own config (cfg=None)")
         self.num_docs = int(man.stats["num_docs"])
-        # exclusive bound on the doc ids: num_docs unless a group records
-        # ids past it (a documents index with holes or offset ids)
-        self.id_bound = max([self.num_docs] + [
-            int(e.get("doc_hi") or e.get("doc_bound_hi") or 0)
-            for e in man.groups.values()
-        ])
+        # exclusive bound on the doc ids: num_docs unless a group's span
+        # reaches past it (a documents index with holes or offset ids)
+        self.id_bound = max(
+            [self.num_docs] + [int(e["doc_hi"]) for e in man.groups.values()]
+        )
         self.avgdl = float(man.stats["avgdl"])
         self.avg_idf = man.stats.get("avg_robertson_idf")
         self.gids = man.done_groups()
@@ -977,19 +957,26 @@ class Index:
             if missing:
                 raise ValueError(f"groups not in index: {sorted(missing)}")
             self.gids = sorted(groups)
-        # Per-group contiguous doc ranges (recorded at build time) make
-        # the scatter exact for padding AND confine each group's slices
-        # to its own doc range (no empty cross-range tasks).
-        self.ranges = _group_ranges(man, self.gids)
+        # each group's [doc_lo, doc_hi) (recorded by its norms pass)
+        # confines its scoring slices; disjoint spans also cut the mask
+        # shards, and exact ones (no hole) make the scatter exact for
+        # padding
+        entries = {g: man.groups[str(g)] for g in self.gids}
+        self.spans = {
+            g: (int(e["doc_lo"]), int(e["doc_hi"])) for g, e in entries.items()
+        }
+        ordered = sorted(self.spans.values())
+        self.disjoint = all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
+        exact = all(e["n_docs"] == e["doc_hi"] - e["doc_lo"] for e in entries.values())
         # a group subset is a partial doc space: absent docs are out of
         # scope, never padded
         whole = groups is None
         # slices pad with their own unmatched docs (exact for any scoring)
-        self.dense_pad = whole and bool(self.ranges)
-        # the merge appends padding from [0, num_docs) instead — only
-        # where those are provably the index's ids (exact only for
-        # non-negative-idf scoring)
-        self.legacy_pad = whole and not self.ranges and _ids_fill_doc_space(man)
+        self.dense_pad = whole and self.disjoint and exact
+        # overlapping (interleaved) spans: the merge appends padding from
+        # [0, num_docs) instead — only where those are provably the
+        # index's ids (exact only for non-negative-idf scoring)
+        self.legacy_pad = whole and not self.disjoint and _ids_fill_doc_space(man)
         # the build's tokenizer: every entry point reads text through it
         self.tokenizer = TokenizePostings(self.cfg)
         self._df: dict[str, int | None] = {}
@@ -1017,21 +1004,10 @@ class Index:
     def group_dir(self, g: int) -> str:
         return os.path.join(self.index_dir, SEGMENTS_DIR, f"group={g}")
 
-    def group_range(self, g: int) -> tuple[int, int]:
-        return self.ranges.get(g, (0, self.num_docs))
-
     def slice_bounds(self, g: int, n: int) -> np.ndarray:
-        """n + 1 doc-id bounds cutting group ``g`` into n scoring slices.
-        Without recorded ranges the group's ids are unknown, so the last
-        slice is open-ended."""
-        bounds = np.linspace(*self.group_range(g), n + 1).astype(np.int64)
-        if not self.ranges:
-            bounds[-1] = np.iinfo(np.int64).max
-        return bounds
-
-    def norms_lo(self, g: int) -> int:
-        """Base doc id of group ``g``'s norms array."""
-        return int(self.man.groups[str(g)]["norms_lo"])
+        """n + 1 doc-id bounds cutting group ``g``'s span into n scoring
+        slices."""
+        return np.linspace(*self.spans[g], n + 1).astype(np.int64)
 
     def df_of(self, terms: list[str]) -> dict[str, int]:
         """In-vocab terms → df; one read of the vocab row groups that
@@ -1062,7 +1038,7 @@ class Index:
         from .docfilter import compose_shards
 
         return compose_shards(
-            sorted(self.ranges.values()), self.id_bound, deleted_ids=self.deleted
+            sorted(self.spans.values()), self.id_bound, deleted_ids=self.deleted
         )
 
     @cached_property
@@ -1103,11 +1079,11 @@ def compose_masks(index: Index, allowed: list) -> tuple[list, np.ndarray] | None
     deleted = index.deleted
     if deleted is None and all(a is None for a in allowed):
         return None
-    if not index.ranges:
+    if not index.disjoint:
         raise ValueError(
-            "filtered search requires contiguous per-group doc ranges"
+            "filtered search requires disjoint per-group doc spans"
         )
-    ranges = sorted(index.ranges.values())
+    ranges = sorted(index.spans.values())
     sets: list[BitmapShards] = []
     set_of: dict[int, int] = {}
     mask_of = np.empty(len(allowed), dtype=np.int32)
@@ -1208,9 +1184,9 @@ def search(
     distinct mask is ANDed with the index's tombstones and published
     as per-group shards (``compose_masks``) — one object per group,
     fetched slice-wise by each scoring task, so no corpus-wide array
-    ever ships.  Masked search needs contiguous per-group doc ranges
-    (every index this engine writes records them; a compaction across
-    a doc-id hole does not) and raises ``ValueError`` without them.
+    ever ships.  The shards are cut by the groups' spans, so masked
+    search needs them disjoint (holes are fine) and raises
+    ``ValueError`` on overlapping spans (interleaved groups).
     Forces the exhaustive scorer (pruning bounds ignore the mask)."""
     for name, n in (("n_qbatch", n_qbatch), ("n_slices", n_slices)):
         if n is not None and n < 1:
@@ -1247,7 +1223,7 @@ def search(
     for g in gids:
         bounds = index.slice_bounds(g, n_slices)
         slices += [
-            (index.group_dir(g), index.norms_lo(g), int(bounds[s]), int(bounds[s + 1]))
+            (index.group_dir(g), index.spans[g][0], int(bounds[s]), int(bounds[s + 1]))
             for s in range(n_slices)
         ]
     # one task list per q-batch, submitted in the order the merge

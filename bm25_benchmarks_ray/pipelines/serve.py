@@ -60,7 +60,7 @@ class GroupScorer:
     def __init__(
         self,
         group_dir: str,
-        norms_lo: int,
+        doc_lo: int,
         params: BM25Params,
         avgdl: float,
         block_size: int,
@@ -81,7 +81,7 @@ class GroupScorer:
         self.rows: dict[str, list[dict] | None] = {}
         self.decoded = _DecodeCache(
             block_size, lo, hi, params, avgdl, nonoccurrence_shape(params),
-            _group_norms(group_dir, norms_lo),
+            _group_norms(group_dir, doc_lo),
         )
 
     def warm(self, terms: list[str]) -> int:
@@ -143,7 +143,7 @@ class BM25Server:
         self.join_back = join_back
         self.actors = [
             GroupScorer.options(num_cpus=num_cpus_per_actor).remote(
-                ix.group_dir(g), ix.norms_lo(g), self.params, ix.avgdl,
+                ix.group_dir(g), ix.spans[g][0], self.params, ix.avgdl,
                 ix.cfg.block_size,
                 *map(int, ix.slice_bounds(g, 1)), mode == "pruned", ix.dense_pad,
             )

@@ -10,10 +10,11 @@ until then — replicated here exactly:
 
 * ``delete_docs`` unions ids into ``<index>/tombstones.parquet``
   atomically (write-tmp + rename, idempotent, crash-safe);
+* ids must lie in some group's span [doc_lo, doc_hi) (the manifest);
 * ``search``/``BM25Server`` load the sidecar and fold it into the
   query-time per-group allowed shards (``query.compose_masks``,
-  docfilter.py) — composing with any user-supplied filter by bitwise
-  AND;
+  docfilter.py), cut by the groups' disjoint spans — composing with
+  any user-supplied filter by bitwise AND;
 * ``compact_index`` carries the sidecar through untouched (doc ids
   are the stable external contract — the docmap join-back — so merges
   must not renumber); reclaiming the postings and the stats is a
@@ -46,21 +47,6 @@ def load_tombstones(index_dir: str) -> np.ndarray | None:
     return pq.read_table(p, columns=["doc_id"]).column("doc_id").to_numpy()
 
 
-def _id_spans(man: Manifest) -> list[tuple[int, int]]:
-    """The [lo, hi) doc-id spans the index's groups cover: each group's
-    contiguous range, else its bounding range, else [0, num_docs) (a
-    transcripts group without a range: its ids are ranks)."""
-    spans = []
-    for e in man.groups.values():
-        for lo_key, hi_key in (("doc_lo", "doc_hi"), ("doc_bound_lo", "doc_bound_hi")):
-            if e.get(lo_key) is not None:
-                spans.append((int(e[lo_key]), int(e[hi_key])))
-                break
-        else:
-            spans.append((0, int(man.stats["num_docs"])))
-    return spans
-
-
 def delete_docs(index_dir: str, doc_ids) -> int:
     """Tombstone ``doc_ids`` (numpy array, or a Ray Dataset with a
     ``doc_id`` column — e.g. the output of a distributed predicate or
@@ -81,8 +67,8 @@ def delete_docs(index_dir: str, doc_ids) -> int:
         ids = np.asarray(doc_ids)
     ids = np.unique(ids.astype(np.int64))
     inside = np.zeros(ids.size, dtype=bool)
-    for lo, hi in _id_spans(man):
-        inside |= (ids >= lo) & (ids < hi)
+    for e in man.groups.values():
+        inside |= (ids >= e["doc_lo"]) & (ids < e["doc_hi"])
     if not inside.all():
         raise ValueError(
             f"doc ids outside the index's id space: {ids[~inside][:8].tolist()}"

@@ -602,7 +602,7 @@ def _decode_run_block(
 
 
 def _decode_segment_block(
-    tbl: pa.Table, block_size: int, norms: str, norms_lo: int
+    tbl: pa.Table, block_size: int, norms: str, doc_lo: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, memoryview]:
     """Segment-row twin of :func:`_decode_run_block`: EVERY row's
     postings with one varint pass per stream, returned the same way.
@@ -611,7 +611,7 @@ def _decode_segment_block(
     :func:`encode_postings`), so absolute ids are one segmented cumsum —
     the arithmetic of :func:`bulk_decode_rows`.  Each posting's dl is
     looked up in the norms array at path ``norms`` (base id
-    ``norms_lo``)."""
+    ``doc_lo``)."""
     df = tbl.column("df").to_numpy().astype(np.int64)
     dview, _ = binary_join_zero_copy(tbl.column("doc_ids"))
     gaps = varint_decode(np.frombuffer(dview, dtype=np.uint8)).view(np.int64)
@@ -625,7 +625,7 @@ def _decode_segment_block(
 
     tbuf, _ = binary_join_zero_copy(tbl.column("tfs"))
     tf = varint_decode(np.frombuffer(tbuf, dtype=np.uint8)).view(np.int64)
-    dl = np.load(norms, mmap_mode="r")[doc - norms_lo].astype(np.int64)
+    dl = np.load(norms, mmap_mode="r")[doc - doc_lo].astype(np.int64)
     return df, doc, tf, dl, tbuf
 
 
@@ -943,7 +943,7 @@ def make_merge_partial(salt_range: int):
 
 
 def make_compact_merge(
-    block_size: int, norms: str, norms_lo: int, positions_dir: str | None = None
+    block_size: int, norms: str, doc_lo: int, positions_dir: str | None = None
 ):
     """Whole-partition merge kernel for COMPACTION: fold each term's
     SEGMENT_SCHEMA rows (one per source group) into one row.  It is the
@@ -953,7 +953,7 @@ def make_compact_merge(
     is canonical, so a lone part re-encodes to the same bytes).  Doc
     gaps are always re-blocked, since every part ends in a short block;
     the tf stream byte-splices, and the per-block min dl reads the
-    merged group's norms array (``norms``, base id ``norms_lo``).
+    merged group's norms array (``norms``, base id ``doc_lo``).
     Input must arrive sorted by (tid, d0) with tid-only partition
     boundaries; source groups that interleave doc ranges take the
     kernel's lexsort fallback.  An index with positions feeds the
@@ -962,7 +962,7 @@ def make_compact_merge(
     merge = make_merge_sorted(
         block_size,
         functools.partial(_decode_segment_block, block_size=block_size,
-                          norms=norms, norms_lo=norms_lo),
+                          norms=norms, doc_lo=doc_lo),
         positions_dir,
     )
 

@@ -22,9 +22,11 @@ from typing import Any
 
 MANIFEST_NAME = "manifest.json"
 # v3: per-group doc ranges (doc_lo/doc_hi) + input inventory hash
-# v4: doc lengths only in each group's norms array (norms_lo per group);
-#     segment and positions rows carry no dl stream
-FORMAT_VERSION = 4
+# v4: doc lengths only in each group's norms array; segment and
+#     positions rows carry no dl stream
+# v5: every group records its span [doc_lo, doc_hi), set by the norms
+#     pass (the norms array's base and end); no bounding ranges
+FORMAT_VERSION = 5
 
 
 class FormatVersionError(ValueError):

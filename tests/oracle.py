@@ -134,7 +134,7 @@ def assert_norms_match(index_dir: str, doc_ids, texts) -> None:
     )
     arrays = []
     for g in man.done_groups():
-        lo = int(man.groups[str(g)]["norms_lo"])
+        lo = int(man.groups[str(g)]["doc_lo"])
         arrays.append((lo, load_group_norms(
             os.path.join(index_dir, SEGMENTS_DIR, f"group={g}"))))
     top = max([int(doc_ids.max()) + 1] + [lo + a.size for lo, a in arrays])

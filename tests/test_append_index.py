@@ -143,3 +143,25 @@ def test_append_same_basename_different_dir(ray_session, tmp_path):
     # appending the exact same file again IS refused (identical id)
     with pytest.raises(ValueError, match="already in the index"):
         append_index(str(d2), idx, IndexConfig())
+
+
+def test_append_without_statistics_checks_its_span(ray_session, tmp_path):
+    """The overlap check reads the span the new group's norms pass
+    records, not the file's statistics: ids 100..299 written without
+    statistics over an index of ids 0..199 are refused, and the index
+    is left as found."""
+    from bm25_benchmarks_ray.state.manifest import Manifest
+
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(t.slice(0, 200), a)
+    pq.write_table(t.slice(100, 200), b, write_statistics=False)
+    idx = str(tmp_path / "idx")
+    build_index(a, idx, IndexConfig(), mode="documents", fresh=True)
+    want = _topk(idx)
+    with pytest.raises(ValueError, match=r"span \[100, 300\) overlaps existing"):
+        append_index(b, idx)
+    man = Manifest.load(idx)
+    assert man.is_complete() and man.stats["num_docs"] == 200
+    assert os.listdir(os.path.join(idx, "segments")) == ["group=0"]
+    assert _topk(idx).equals(want)

@@ -95,19 +95,19 @@ def test_append_then_compact(ray_session, tmp_path):
     build_index(a, idx, cfg, mode="documents", fresh=True)
     append_index(b, idx, cfg)
     before = _topk(idx)
-    man = compact_index(idx, cfg=cfg)
+    man = compact_index(idx)
     assert len(man.done_groups()) == 1 and man.stats["num_docs"] == 500
     assert _topk(idx)[["qid", "doc_id", "rank"]].equals(
         before[["qid", "doc_id", "rank"]]
     )
     # contiguous compaction: the sources' arrays placed end to end
-    assert man.groups["0"]["norms_lo"] == 0
+    assert (man.groups["0"]["doc_lo"], man.groups["0"]["doc_hi"]) == (0, 500)
     assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())
 
 
 def _holed_compacted_index(tmp_path, cfg: IndexConfig = IndexConfig()):
     """Docs 0..199 plus an append of docs 1000..1199, compacted into one
-    group whose id space has a hole: it records no contiguous range."""
+    group whose span [0, 1200) has a hole: 400 docs, not exact."""
     import pyarrow.compute as pc
 
     t = pq.read_table(SRC, columns=["doc_id", "text"])
@@ -134,12 +134,12 @@ def _holed_docs():
 
 
 def test_holed_compaction_norms(ray_session, tmp_path):
-    """The holed group's norms span its bounding range [0, 1200) with
-    zeros in the hole, and no file of the folded group 1 survives."""
+    """The holed group's norms span its span [0, 1200) with zeros in
+    the hole, and no file of the folded group 1 survives."""
     from bm25_benchmarks_ray.state.norms import NORMS_FILE
 
     idx, man = _holed_compacted_index(tmp_path)
-    assert man.done_groups() == [0] and man.groups["0"]["norms_lo"] == 0
+    assert man.done_groups() == [0] and man.groups["0"]["doc_lo"] == 0
     arr = np.load(os.path.join(idx, "segments", "group=0", NORMS_FILE))
     assert arr.size == 1200 and not arr[200:1000].any()
     docs = _holed_docs()
@@ -191,18 +191,17 @@ def test_holed_compaction_ranks_as_union_build(ray_session, tmp_path):
 
 def test_compact_preserves_overlap_validation(ray_session, tmp_path):
     """A compacted group with HOLES in its id space must still refuse an
-    overlapping append (bounding range survives compaction), and a
-    REJECTED append must leave the index complete and queryable."""
+    overlapping append (its span covers the hole), and a REJECTED
+    append must leave the index complete and queryable."""
     from bm25_benchmarks_ray.state.manifest import Manifest
 
     idx, man = _holed_compacted_index(tmp_path)
     e = man.groups[str(man.done_groups()[0])]
-    assert e["doc_lo"] is None  # holes: no exact contiguous range
-    assert e["doc_bound_lo"] == 0 and e["doc_bound_hi"] == 1200
+    assert (e["doc_lo"], e["doc_hi"]) == (0, 1200) and e["n_docs"] == 400
 
     c = str(tmp_path / "c.parquet")
     t = pq.read_table(SRC, columns=["doc_id", "text"])
-    pq.write_table(t.slice(50, 100), c)  # ids 50..149: inside the bound
+    pq.write_table(t.slice(50, 100), c)  # ids 50..149: inside the span
     with pytest.raises(ValueError, match="overlaps"):
         append_index(c, idx, IndexConfig())
     # the rejected append left the index finalized and queryable
@@ -212,20 +211,40 @@ def test_compact_preserves_overlap_validation(ray_session, tmp_path):
 
 
 def test_masked_search_needs_group_ranges(ray_session, tmp_path):
-    """Masks ship only as per-group shards, so a masked search over a
-    group without a contiguous doc range raises."""
+    """Masks ship as per-group shards cut by the groups' spans: a holed
+    but disjoint index serves a masked search (the unmasked ranking
+    restricted to the mask), and overlapping spans (even/odd groups)
+    raise."""
     from bm25_benchmarks_ray.pipelines.docfilter import bitmap_from_ids
 
     idx, man = _holed_compacted_index(tmp_path)
-    n = int(man.stats["num_docs"])
-    bm = bitmap_from_ids(np.arange(0, n, 2), n)
-    with pytest.raises(ValueError, match="contiguous per-group doc ranges"):
-        search(idx, QUERIES, allowed=bm)
-    assert search(idx, MATCHING).num_rows > 0  # unmasked search serves it
+    n = 1200  # Index.id_bound: the span reaches past num_docs (400)
+    keep = np.concatenate([np.arange(0, 200, 2), np.arange(1001, 1200, 3)])
+    bm = bitmap_from_ids(keep, n)
+    full = search(idx, MATCHING, k=n, join_back=False).to_pandas()
+    got = search(idx, MATCHING, k=10, allowed=bm, join_back=False).to_pandas()
+    for qid, _ in MATCHING:
+        want = full[(full["qid"] == qid) & full["doc_id"].isin(keep)]
+        mine = got[got["qid"] == qid].sort_values("rank")
+        assert len(mine) > 0
+        assert list(mine["doc_id"]) == list(want["doc_id"][:10]), qid
+        np.testing.assert_allclose(mine["score"], want["score"][:10])
+
+    t = pq.read_table(SRC, columns=["doc_id", "text"])
+    ids = t.column("doc_id").to_numpy()
+    src = tmp_path / "evenodd"
+    os.makedirs(src)
+    pq.write_table(t.filter(ids % 2 == 0), str(src / "even.parquet"))
+    pq.write_table(t.filter(ids % 2 == 1), str(src / "odd.parquet"))
+    inter = str(tmp_path / "inter")
+    build_index(str(src), inter, mode="documents", n_groups=2, fresh=True)
+    with pytest.raises(ValueError, match="disjoint per-group doc spans"):
+        search(inter, QUERIES, allowed=bitmap_from_ids(ids[::2], 500))
+    assert search(inter, MATCHING).num_rows > 0  # unmasked search serves it
 
 
 def test_holed_index_pads_no_invented_ids(ray_session, tmp_path):
-    """A range-less index whose ids are not [0, num_docs) (0..199 and
+    """A holed index whose ids are not [0, num_docs) (0..199 and
     1000..1199, num_docs 400) returns matched docs only: merge-side
     padding from range(num_docs) would return ids 200..249, which are
     not documents."""
@@ -269,7 +288,7 @@ def test_append_compact_byte_identical_to_union_build(ray_session, tmp_path):
     build_index(dirs[0], idx, cfg, mode="documents", fresh=True)
     append_index(dirs[1], idx, cfg)
     append_index(dirs[2], idx, cfg)
-    man = compact_index(idx, cfg=cfg)
+    man = compact_index(idx)
     assert man.done_groups() == [0]
 
     union = _fresh_union(t, tmp_path, cfg)
@@ -283,7 +302,11 @@ def test_append_compact_byte_identical_to_union_build(ray_session, tmp_path):
 
 def test_compact_interleaved_doc_ids(ray_session, tmp_path):
     """Even ids in one group, odd ids in the other: every term's parts
-    interleave, so compaction takes the merge kernel's lexsort path."""
+    interleave, so compaction takes the merge kernel's lexsort path.
+    The merged group holds exactly [0, 500), so it records that span
+    and serves deletes like a fresh build of the union."""
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+
     t = pq.read_table(SRC, columns=["doc_id", "text"])
     ids = t.column("doc_id").to_numpy()
     src = tmp_path / "src"
@@ -295,10 +318,23 @@ def test_compact_interleaved_doc_ids(ray_session, tmp_path):
     man = build_index(str(src), idx, cfg, mode="documents", n_groups=2, fresh=True)
     assert len(man.done_groups()) == 2
     before = _topk(idx, k=50)
-    compact_index(idx, cfg=cfg)
+    man = compact_index(idx)
+    e = man.groups["0"]
+    assert (e["doc_lo"], e["doc_hi"], e["n_docs"]) == (0, 500, 500)
     after = _topk(idx, k=50)
     assert before[["qid", "doc_id", "rank"]].equals(after[["qid", "doc_id", "rank"]])
     assert (before.score - after.score).abs().max() < 1e-9
-    assert _segment_rows(idx).equals(_segment_rows(_fresh_union(t, tmp_path, cfg)))
+    union = _fresh_union(t, tmp_path, cfg)
+    assert _segment_rows(idx).equals(_segment_rows(union))
     # interleaved sources: each parity's array holds 0 at the other's ids
     assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())
+
+    for d in (idx, union):
+        delete_docs(d, [3])
+    qs = QUERIES + MATCHING
+    got, want = (search(d, qs, k=50, join_back=False).to_pandas()
+                 .sort_values(["qid", "rank"]).reset_index(drop=True)
+                 for d in (idx, union))
+    assert len(got) > 0 and 3 not in set(got["doc_id"])
+    assert got[["qid", "doc_id", "rank"]].equals(want[["qid", "doc_id", "rank"]])
+    assert (got.score - want.score).abs().max() < 1e-9

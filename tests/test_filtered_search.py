@@ -403,7 +403,7 @@ def test_masks_on_ids_past_zero(offset_ids):
     ranked = search(idx, queries, k=ID_HI - ID_LO, join_back=False).to_pandas()
     keep = np.arange(ID_LO, ID_HI, 3)
     bm = bitmap_from_ids(keep, ID_HI)
-    shards = compose_shards(sorted(index.ranges.values()), ID_HI, user=bm)
+    shards = compose_shards(sorted(index.spans.values()), ID_HI, user=bm)
     for allowed in (bm, shards):
         got = search(idx, queries, k=10, allowed=allowed,
                      join_back=False).to_pandas()

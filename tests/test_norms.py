@@ -103,7 +103,7 @@ def test_decode_without_dls_returns_none(nidx):
         gdir = os.path.join(idx, SEGMENTS_DIR, f"group={g}")
         seg = pads.dataset(gdir).to_table()
         assert seg.schema.names == SEGMENT_SCHEMA.names
-        norms, lo = load_group_norms(gdir), man.groups[str(g)]["norms_lo"]
+        norms, lo = load_group_norms(gdir), man.groups[str(g)]["doc_lo"]
         for parts in segment_rows_by_term(seg).values():
             for row in parts:
                 doc, tf = decode_segment(row, bs)
@@ -130,13 +130,13 @@ def test_worker_norms_cache_follows_compaction(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     man = build_index(str(a), idx, IndexConfig(), mode="documents", fresh=True)
     gdir = os.path.join(idx, SEGMENTS_DIR, "group=0")
-    arr, base = _group_norms(gdir, man.groups["0"]["norms_lo"])
+    arr, base = _group_norms(gdir, man.groups["0"]["doc_lo"])
     assert (arr.size, base) == (cut, 0)
 
     append_index(str(b), idx, IndexConfig())
     man = compact_index(idx)
     assert man.done_groups() == [0] and has_norms(idx, man)
-    arr, base = _group_norms(gdir, man.groups["0"]["norms_lo"])
+    arr, base = _group_norms(gdir, man.groups["0"]["doc_lo"])
     assert (arr.size, base) == (t.num_rows, 0)
     assert_norms_match(idx, t.column("doc_id"), t.column("text").to_pylist())
 
@@ -154,7 +154,8 @@ def test_norms_documents_build_and_appends(ray_session, tmp_path):
         else:
             append_index(p, idx, IndexConfig())
     man = Manifest.load(idx)
-    assert [man.groups[str(g)]["norms_lo"] for g in man.done_groups()] == [0, 150, 300]
+    assert [(man.groups[str(g)]["doc_lo"], man.groups[str(g)]["doc_hi"])
+            for g in man.done_groups()] == [(0, 150), (150, 300), (300, 450)]
     part = src.slice(0, 450)
     assert_norms_match(idx, part.column("doc_id"), part.column("text").to_pylist())
 
@@ -240,9 +241,9 @@ def test_norms_span_guard(tmp_path):
     seg = str(tmp_path / "seg")
     write_norms_part(os.path.join(seg, PARTS_DIR), np.array([5, 9]), np.array([3, 4]))
     write_norms_part(os.path.join(seg, PARTS_DIR), np.array([7]), np.array([2]))
-    entry: dict = {}
+    entry: dict = {"n_docs": 3}
     assert build_norms(str(tmp_path), None, seg, entry) == 1
-    assert entry == {"norms_lo": 5}
+    assert entry == {"n_docs": 3, "doc_lo": 5, "doc_hi": 10}
     assert np.load(os.path.join(seg, NORMS_FILE)).tolist() == [3, 0, 2, 0, 4]
     assert not os.path.exists(os.path.join(seg, PARTS_DIR))
 
@@ -251,3 +252,28 @@ def test_norms_span_guard(tmp_path):
                      np.array([0, MAX_SPAN]), np.array([1, 1]))
     with pytest.raises(ValueError, match="too wide"):
         build_norms(str(tmp_path), None, wide, {})
+
+
+def test_duplicate_doc_ids_rejected(ray_session, tmp_path):
+    """A group whose input holds a doc id twice is refused by its norms
+    pass, at build and at append, naming the ids; the rejected append
+    leaves the index as found."""
+    t = _docs(50, seed=17)
+    twice = str(tmp_path / "twice.parquet")
+    pq.write_table(pa.concat_tables([t, t]), twice)
+    with pytest.raises(ValueError, match=r"duplicate doc ids.*\[0, 1, 2"):
+        build_index(twice, str(tmp_path / "dup"), IndexConfig(),
+                    mode="documents", fresh=True)
+
+    base = str(tmp_path / "base.parquet")
+    pq.write_table(t, base)
+    idx = str(tmp_path / "idx")
+    build_index(base, idx, IndexConfig(), mode="documents", fresh=True)
+    shifted = t.set_column(0, "doc_id", pa.array(np.arange(50, 100)))
+    more = str(tmp_path / "more.parquet")
+    pq.write_table(pa.concat_tables([shifted, shifted]), more)
+    with pytest.raises(ValueError, match=r"duplicate doc ids.*\[50, 51, 52"):
+        append_index(more, idx)
+    man = Manifest.load(idx)
+    assert man.is_complete() and man.stats["num_docs"] == 50
+    assert os.listdir(os.path.join(idx, SEGMENTS_DIR)) == ["group=0"]

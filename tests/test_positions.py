@@ -523,7 +523,7 @@ def test_query_calls_start_no_ray_data_job(poscorpus, monkeypatch):
     }
     want = {name: f() for name, f in calls.items()}
     index = Index.open(idx)
-    ranges = sorted(index.ranges.values())
+    ranges = sorted(index.spans.values())
     assert len(ranges) == 2
     ids = np.flatnonzero(np.random.RandomState(2).random(index.id_bound) < 0.3)
     ds = rd.from_arrow([pa.table({"doc_id": ids[i::3]}) for i in range(3)])
