@@ -675,6 +675,21 @@ def compact_index(index_dir: str, gids: list[int] | None = None) -> Manifest:
     missing = set(gids) - set(all_gids)
     if missing:
         raise ValueError(f"groups not in index: {sorted(missing)}")
+    # the merged group's span runs from its sources' lowest doc_lo to
+    # their highest doc_hi; on an index whose spans are disjoint it must
+    # not cover a group left out, or masks could no longer be cut by span
+    spans = {int(g): (e["doc_lo"], e["doc_hi"]) for g, e in man.groups.items()}
+    ordered = sorted(spans.values())
+    if all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:])):
+        lo = min(spans[g][0] for g in gids)
+        hi = max(spans[g][1] for g in gids)
+        for g, (a, b) in sorted(spans.items()):
+            if g not in gids and a < hi and lo < b:
+                raise ValueError(
+                    f"compacting groups {gids} would merge them into the span "
+                    f"[{lo}, {hi}), which swallows group {g} [{a}, {b}); "
+                    f"compact adjacent groups or include group {g}"
+                )
     block_size = int(man.config["block_size"])
 
     from ..stages.segments import make_compact_merge

@@ -20,7 +20,14 @@ single-process ``model.retrieve`` cannot express,
    accumulated vectorized (np.bincount over unique candidate docs),
    and the task returns its local top-k per query — k rows, not a
    score vector.  No Ray Data job is started per call; the tasks run
-   on Ray's reused worker processes.
+   on Ray's reused worker processes.  A call the scatter gives one task
+   and fewer queries than a q-batch's floor (a single query, say) gains
+   no parallelism from that task, so the calling process runs the same
+   slice body itself: no ``ray.put``, no task round trip (local shard
+   requests run in-process in Elasticsearch the same way).  The
+   ``Index`` handle it scores through is opened once per published
+   version of the index (``Index.open``), so its manifest, join-back
+   offsets, tombstones and term→df cache are read once, not per call.
 4. A query's partials come only from its own query batch's tasks, so
    the driver gathers and merges one query batch at a time (one
    ``ray.get`` of that batch's Q_b × k × (groups × slices) tiny rows)
@@ -58,8 +65,11 @@ spans, so they need the spans disjoint, holes or not.
 
 from __future__ import annotations
 
+import functools
 import os
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -72,7 +82,7 @@ import ray
 from ..config import IndexConfig
 from ..functions.bm25 import BM25Params, idf as idf_fn, nonoccurrence_shape, tf_shape
 from ..stages.tokenize_stage import TokenizePostings
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, publish_token
 from .docfilter import BitmapShards
 from .index_build import SEGMENTS_DIR, VOCAB_DIR, docmap_from_offsets, load_offsets
 
@@ -721,10 +731,9 @@ def _concat_partials(tables: list[pa.Table]) -> pa.Table:
     return pa.concat_tables(tables) if tables else _EMPTY_PARTIALS
 
 
-@ray.remote
-def score_slice(
+def _slice_partials(
     plan: dict,
-    item: tuple[str, int, int, int, int],
+    item: tuple[str, int, int, int, int, int],
     params: BM25Params,
     avgdl: float,
     k: int,
@@ -732,12 +741,10 @@ def score_slice(
     prune: bool,
     dense_pad: bool,
 ) -> pa.Table:
-    """Score queries [q_lo, q_hi) against one (group, doc-range) slice.
-
-    ``plan`` is passed as the ``ray.put`` ref of search()'s plan, so
-    Ray resolves it on the worker (one object store copy per node, not
-    one per task); ``item`` is one scatter entry
-    ``(group_dir, doc_lo, lo, hi, q_lo, q_hi)``.
+    """Score queries [q_lo, q_hi) against one (group, doc-range) slice:
+    the body of the ``score_slice`` task, which ``search()`` also runs
+    in the calling process for a call it cannot split.  ``item`` is one
+    scatter entry ``(group_dir, doc_lo, lo, hi, q_lo, q_hi)``.
 
     A build group can be far wider than one task should chew, so the
     scatter unit is a doc-id slice of a group: every task reads the
@@ -785,9 +792,39 @@ def score_slice(
     ))
 
 
-def _collect_arrow(refs: list) -> pa.Table:
-    """Gather the scoring tasks' partial tables on the driver."""
-    return _concat_partials(ray.get(refs))
+@ray.remote
+def score_slice(
+    plan: dict,
+    item: tuple[str, int, int, int, int, int],
+    params: BM25Params,
+    avgdl: float,
+    k: int,
+    block_size: int,
+    prune: bool,
+    dense_pad: bool,
+) -> pa.Table:
+    """``_slice_partials`` as a Ray task.  ``plan`` is passed as the
+    ``ray.put`` ref of search()'s plan, so Ray resolves it on the worker
+    (one object store copy per node, not one per task)."""
+    return _slice_partials(plan, item, params, avgdl, k, block_size, prune, dense_pad)
+
+
+# The one thread that runs in-process slice bodies.  Run on each
+# caller's own thread, they grow malloc arenas (glibc's and Arrow's
+# jemalloc) per short-lived thread: 400 one-query calls, each from a
+# fresh thread, on a 16k-turn index (1 CPU) peaked at +23 MB driver RSS
+# over the task path, and at +2.5 MB on this one thread.  It starts on
+# first use.
+_LOCAL_SCORER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bm25-local")
+
+
+def _collect_arrow(jobs: list) -> pa.Table:
+    """One q-batch's partial tables on the driver: the ``ray.get`` of
+    its ``score_slice`` tasks or, for a call ``search()`` scores in the
+    calling process, its one slice body, run on ``_LOCAL_SCORER``."""
+    if jobs and callable(jobs[0]):
+        return _concat_partials([_LOCAL_SCORER.submit(job).result() for job in jobs])
+    return _concat_partials(ray.get(jobs))
 
 
 def _merge_partials_local(
@@ -917,17 +954,43 @@ def _ids_fill_doc_space(man: Manifest) -> bool:
     )
 
 
+# Open handles reused across calls (``Index.open``), keyed on (real
+# path, groups, Ray session): a handle's live shards are Ray objects,
+# which die with the session that put them.  Cleared when full, like
+# the segment footer cache.
+_HANDLES: dict[tuple, "Index"] = {}
+_HANDLES_MAX = 16
+_HANDLES_LOCK = threading.Lock()
+# most absent terms one handle remembers (query typos never end)
+_ABSENT_MAX = 1 << 16
+
+
+def _handle_key(index_dir: str, groups: list[int] | None) -> tuple | None:
+    """The ``_HANDLES`` key of an open; None without a Ray session."""
+    if not ray.is_initialized():
+        return None
+    ctx = ray.get_runtime_context()
+    return (
+        os.path.realpath(index_dir),
+        None if groups is None else tuple(sorted(groups)),
+        ctx.get_node_id(),
+        ctx.get_job_id(),
+    )
+
+
 class Index:
-    """One open index: the only manifest read of a call, and all the
-    query side derives from it — config, collection stats, the groups
-    in scope, their doc-id spans, the padding those allow (module
-    docstring) and the analyzer, plus (read on first use) the
-    tombstones, the join-back offsets and a term→df cache.  ``search()``, ``BM25Server``, the boolean, phrase
-    and snippet entry points all read the index through one handle;
-    only a server keeps it past one call.  The config is the manifest's:
-    a ``cfg`` that differs from it in a ``IndexConfig.semantic`` field
-    raises ``ValueError`` naming the fields, so no reader tokenizes its
-    queries with another analyzer than the index's."""
+    """One open index: one manifest read, and all the query side derives
+    from it — config, collection stats, the groups in scope, their
+    doc-id spans, the padding those allow (module docstring) and the
+    analyzer, plus (read on first use) the tombstones, the join-back
+    offsets and a term→df cache.  ``search()``, ``BM25Server``, the
+    boolean, phrase and snippet entry points all read the index through
+    a handle from ``Index.open``, which reuses one handle per published
+    version of the index, so those reads happen once per version, not
+    per call.  The config is the manifest's: a ``cfg`` that differs
+    from it in a ``IndexConfig.semantic`` field raises ``ValueError``
+    naming the fields, so no reader tokenizes its queries with another
+    analyzer than the index's."""
 
     def __init__(
         self,
@@ -939,10 +1002,7 @@ class Index:
         self.index_dir, self.man = index_dir, man
         # the index's own analyzer: a reader's cfg may only restate it
         self.cfg = IndexConfig.from_dict(man.config)
-        if cfg is not None and (fields := self.cfg.semantic_diff(cfg)):
-            raise ValueError(
-                f"config differs from the index's own in {fields}; open the "
-                "index with its own config (cfg=None)")
+        self._check_cfg(cfg)
         self.num_docs = int(man.stats["num_docs"])
         # exclusive bound on the doc ids: num_docs unless a group's span
         # reaches past it (a documents index with holes or offset ids)
@@ -979,7 +1039,16 @@ class Index:
         self.legacy_pad = whole and not self.disjoint and _ids_fill_doc_space(man)
         # the build's tokenizer: every entry point reads text through it
         self.tokenizer = TokenizePostings(self.cfg)
-        self._df: dict[str, int | None] = {}
+        # df of the in-vocab terms looked up so far, and the terms known
+        # absent (bounded: unlike the vocab, misspellings never end)
+        self._df: dict[str, int] = {}
+        self._absent: set[str] = set()
+
+    def _check_cfg(self, cfg: IndexConfig | None) -> None:
+        if cfg is not None and (fields := self.cfg.semantic_diff(cfg)):
+            raise ValueError(
+                f"config differs from the index's own in {fields}; open the "
+                "index with its own config (cfg=None)")
 
     @classmethod
     def open(
@@ -988,14 +1057,33 @@ class Index:
         cfg: IndexConfig | None = None,
         groups: list[int] | None = None,
     ) -> "Index":
+        """The index at ``index_dir`` as published now.  Within one Ray
+        session the handle is reused across calls while the manifest's
+        publish token (``state.manifest.publish_token``, one small read
+        per call) is unchanged; build, append, compaction and
+        ``delete_docs`` each publish a fresh one.  An index whose
+        manifest records no token is opened per call."""
         from ..state.norms import has_norms
 
+        key = _handle_key(index_dir, groups)
+        token = publish_token(index_dir) if key else ""
+        with _HANDLES_LOCK:
+            ix = _HANDLES.get(key) if token else None
+        if ix is not None and ix.man.token == token:
+            ix._check_cfg(cfg)
+            return ix
         man = Manifest.load(index_dir)
         if man is None or not man.is_complete():
             raise ValueError(f"no complete index at {index_dir}")
         if not has_norms(index_dir, man):
             raise ValueError(f"index at {index_dir} lacks group norms: rebuild it")
-        return cls(index_dir, man, cfg, groups)
+        ix = cls(index_dir, man, cfg, groups)
+        if key and man.token:
+            with _HANDLES_LOCK:
+                if len(_HANDLES) >= _HANDLES_MAX:
+                    _HANDLES.clear()
+                _HANDLES[key] = ix
+        return ix
 
     def analyze(self, text: str) -> list[str]:
         """A text's ordered kept terms, as the index build reads it."""
@@ -1011,18 +1099,21 @@ class Index:
 
     def df_of(self, terms: list[str]) -> dict[str, int]:
         """In-vocab terms → df; one read of the vocab row groups that
-        hold the terms this handle has not looked up yet (None = known
-        absent)."""
+        hold the terms this handle has not looked up yet.  Safe to call
+        from several threads: the caches only grow, but for the absent
+        set, which is replaced whole when full."""
         from ..stages.segments import read_term_rows
 
-        lookup = [t for t in terms if t not in self._df]
+        lookup = [t for t in terms if t not in self._df and t not in self._absent]
         if lookup:
             v = read_term_rows(os.path.join(self.index_dir, VOCAB_DIR), lookup,
                                key="term", columns=["term", "df"])
             fresh = dict(zip(v.column("term").to_pylist(), v.column("df").to_pylist()))
-            for t in lookup:
-                self._df[t] = fresh.get(t)
-        return {t: self._df[t] for t in terms if self._df[t] is not None}
+            self._df.update(fresh)
+            if len(self._absent) >= _ABSENT_MAX:
+                self._absent = set()
+            self._absent.update(t for t in lookup if t not in fresh)
+        return {t: d for t in terms if (d := self._df.get(t)) is not None}
 
     @cached_property
     def deleted(self) -> np.ndarray | None:
@@ -1096,6 +1187,11 @@ def compose_masks(index: Index, allowed: list) -> tuple[list, np.ndarray] | None
     return sets, mask_of
 
 
+def _batch_floor(k: int) -> int:
+    """Fewest queries a q-batch is cut to at top-``k`` (``_scatter_shape``)."""
+    return 8 if k >= DENSE_K_CUTOFF else 16
+
+
 def _scatter_shape(
     n_q: int, k: int, n_groups: int, docs_per_group: int, cpus: int
 ) -> tuple[int, int]:
@@ -1130,9 +1226,8 @@ def _scatter_shape(
     # overhead in the pruned scorer dominates below it) and ≥ 8 on the
     # dense path, whose measured optimum is all q-batches, no slicing
     # (sf8/32cpu k=1000: qb16×sl1 68 qps vs auto-12×2 61 vs 1×16 12).
-    min_q = 8 if k >= DENSE_K_CUTOFF else 16
     n_qbatch = max(-(-n_q // QBATCH_TARGET),
-                   min(per_group, max(1, n_q // min_q)))
+                   min(per_group, max(1, n_q // _batch_floor(k))))
     # per-task read volume is the q-batch's term blobs, paid once per
     # doc slice; a slice under ~64k docs is pure task overhead
     n_slices = max(1, -(-per_group // n_qbatch))
@@ -1161,6 +1256,11 @@ def search(
     scores against the ``ray.put`` plan; the driver gathers and merges
     the partial top-k tables one query batch at a time, then adds the
     rows for unscored queries and the join-back (``finish_results``).
+    A call of one task and fewer queries than a q-batch's floor
+    (``_batch_floor``) runs that task's body in the calling process
+    instead: no task could split it, so a task would add only its
+    round trip.  A path is opened through ``Index.open``, which reuses
+    one handle per published version of the index.
     The result is that one Arrow table (``RESULT_SCHEMA``, plus
     ``conv_id``/``turn_idx`` when joined back), zero-row ones included.
     ``_scatter_shape`` sizes the scatter from Ray's CPU count unless
@@ -1210,7 +1310,6 @@ def search(
     plan = _query_plan(tokenize_queries(queries, index.cfg), index, params)
     if masks is not None:
         plan["allowed_shards"], plan["mask_of"] = masks
-    plan_ref = ray.put(plan)
 
     n_q = len(plan["qids"])
     auto_qb, auto_sl = _scatter_shape(
@@ -1226,19 +1325,24 @@ def search(
             (index.group_dir(g), index.spans[g][0], int(bounds[s]), int(bounds[s + 1]))
             for s in range(n_slices)
         ]
-    # one task list per q-batch, submitted in the order the merge
-    # below consumes them
-    refs = [
-        [
-            score_slice.remote(
-                plan_ref, (*sl, int(q_bounds[qb]), int(q_bounds[qb + 1])),
-                params, index.avgdl, k, index.cfg.block_size,
-                mode == "pruned", index.dense_pad,
-            )
-            for sl in slices
+    args = (params, index.avgdl, k, index.cfg.block_size,
+            mode == "pruned", index.dense_pad)
+    if n_qbatch * len(slices) == 1 and n_q < _batch_floor(k):
+        # one task, which no scatter would split: score it right here
+        jobs = [[functools.partial(_slice_partials, plan, (*slices[0], 0, n_q), *args)]]
+    else:
+        # one task list per q-batch, submitted in the order the merge
+        # below consumes them
+        plan_ref = ray.put(plan)
+        jobs = [
+            [
+                score_slice.remote(
+                    plan_ref, (*sl, int(q_bounds[qb]), int(q_bounds[qb + 1])), *args
+                )
+                for sl in slices
+            ]
+            for qb in range(n_qbatch)
         ]
-        for qb in range(n_qbatch)
-    ]
     # read while the tasks run
     offsets = index.offsets if join_back else None
 
@@ -1250,8 +1354,8 @@ def search(
     # tie-normalized top-k.
     merged = pa.concat_tables([
         _merge_partials_local(
-            _collect_arrow(qb_refs), plan, k, num_docs, index.legacy_pad
+            _collect_arrow(qb_jobs), plan, k, num_docs, index.legacy_pad
         )
-        for qb_refs in refs
+        for qb_jobs in jobs
     ])
     return finish_results(merged, plan, k, index, offsets)

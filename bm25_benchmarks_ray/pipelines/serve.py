@@ -12,11 +12,18 @@ loads once, queries many); the Ray-native analogue is a pool of
 - a query is one tiny plan broadcast to the actors (``actor.score``
   round-trip, milliseconds) + the driver-side merge;
 - everything else is ``search()``'s own code: the ``Index`` handle
-  (opened once, kept for the server's lifetime with its term→df cache,
-  tombstone shards and offsets), the plan, the scoring core
+  (``Index.open``'s, with its term→df cache, tombstone shards and
+  offsets, kept while the index's publish token is unchanged), the
+  plan, the scoring core
   (``score_range``) and the finishing step (``_merge_partials_local``
   + ``finish_results``), so served results are rank-identical to the
   batch path (asserted in tests/test_serve.py).
+
+The server follows its index: each call checks the manifest's publish
+token.  A delete changes only the tombstones, so the new handle is
+swapped in and the actors keep their caches; an append, a compaction or
+a rebuild changes the groups, so every actor is restarted over the new
+handle (their cached rows may come from replaced files).
 
 This is the "shared mutable index held by raw Ray actors" case the
 Dataset API genuinely cannot express: state must outlive any one
@@ -139,16 +146,40 @@ class BM25Server:
         num_cpus_per_actor: float = 1.0,
     ):
         self.params = params or BM25Params()
-        self.index = ix = Index.open(index_dir, cfg)
+        self.index_dir, self.cfg = index_dir, cfg
+        self.prune = mode == "pruned"
         self.join_back = join_back
-        self.actors = [
-            GroupScorer.options(num_cpus=num_cpus_per_actor).remote(
+        self.num_cpus_per_actor = num_cpus_per_actor
+        self.index = Index.open(index_dir, cfg)
+        self.actors = self._start_actors()
+
+    def _start_actors(self) -> list:
+        ix = self.index
+        return [
+            GroupScorer.options(num_cpus=self.num_cpus_per_actor).remote(
                 ix.group_dir(g), ix.spans[g][0], self.params, ix.avgdl,
                 ix.cfg.block_size,
-                *map(int, ix.slice_bounds(g, 1)), mode == "pruned", ix.dense_pad,
+                *map(int, ix.slice_bounds(g, 1)), self.prune, ix.dense_pad,
             )
             for g in ix.gids
         ]
+
+    def _follow(self) -> Index:
+        """The handle of the index as published now (module docstring):
+        a new handle after any publish, and new actors when the groups
+        changed.  An index without a publish token keeps its first
+        handle."""
+        old = self.index
+        if old.man.token:
+            new = Index.open(self.index_dir, self.cfg)
+            if new.man.token != old.man.token:
+                self.index = new
+                if (new.man.config, new.man.groups, new.man.stats) != (
+                    old.man.config, old.man.groups, old.man.stats
+                ):
+                    self.close()
+                    self.actors = self._start_actors()
+        return self.index
 
     def warm(self, queries: list[tuple[str, str]]) -> None:
         """Pre-decode the terms of an expected query workload."""
@@ -164,7 +195,7 @@ class BM25Server:
 
         from .index_build import VOCAB_DIR
 
-        v = pads.dataset(os.path.join(self.index.index_dir, VOCAB_DIR)).to_table(
+        v = pads.dataset(os.path.join(self._follow().index_dir, VOCAB_DIR)).to_table(
             columns=["term", "df"]
         )
         df = v.column("df").to_numpy()
@@ -176,7 +207,7 @@ class BM25Server:
         ray.get([a.warm.remote(terms) for a in self.actors])
 
     def _plan(self, queries: list[tuple[str, str]]) -> dict:
-        ix = self.index
+        ix = self._follow()
         plan = _query_plan(tokenize_queries(queries, ix.cfg), ix, self.params)
         # index-level deletes (tombstones.py): the handle composes its
         # live shards once and every plan carries them, as in search()
@@ -186,8 +217,8 @@ class BM25Server:
         return plan
 
     def search(self, queries: list[tuple[str, str]], k: int = 10) -> pd.DataFrame:
-        ix = self.index
         plan = self._plan(queries)
+        ix = self.index
         parts = ray.get([a.score.remote(plan, k) for a in self.actors])
         merged = _merge_partials_local(
             _concat_partials(parts), plan, k, ix.num_docs, ix.legacy_pad

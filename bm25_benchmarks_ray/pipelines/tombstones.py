@@ -9,7 +9,9 @@ merge, and collection statistics (N, df, avgdl) keep counting them
 until then — replicated here exactly:
 
 * ``delete_docs`` unions ids into ``<index>/tombstones.parquet``
-  atomically (write-tmp + rename, idempotent, crash-safe);
+  atomically (write-tmp + rename, idempotent, crash-safe), then
+  re-saves the manifest, whose fresh publish token tells open handles
+  (``query.Index.open``, ``BM25Server``) to reload;
 * ids must lie in some group's span [doc_lo, doc_hi) (the manifest);
 * ``search``/``BM25Server`` load the sidecar and fold it into the
   query-time per-group allowed shards (``query.compose_masks``,
@@ -79,6 +81,8 @@ def delete_docs(index_dir: str, doc_ids) -> int:
     tmp = os.path.join(index_dir, TOMBSTONES_FILE + ".tmp")
     pq.write_table(pa.table({"doc_id": pa.array(ids, type=pa.int64())}), tmp)
     os.replace(tmp, os.path.join(index_dir, TOMBSTONES_FILE))
+    # a fresh publish token: open readers see the delete on their next call
+    man.save()
     return int(ids.size)
 
 

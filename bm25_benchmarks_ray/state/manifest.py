@@ -10,6 +10,13 @@ lineage (input files) and metrics (docs, postings, terms, token sum,
 wall time).  Resume = skip groups already marked done; the manifest is
 written atomically (tmp + rename) so a crash mid-write never corrupts
 it.
+
+Every save records a fresh publish ``token``, and every change a reader
+can see (build, append, compaction, ``delete_docs``) ends with a save,
+so a reader that holds an open index checks it is current with one
+small read (``publish_token``), as Lucene's ``SearcherManager`` keeps
+one reader open until a commit changes the index.  A manifest written
+before tokens has none; its readers re-open it per call.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +41,18 @@ class FormatVersionError(ValueError):
     """The index on disk was written in another format version."""
 
 
+def publish_token(index_dir: str) -> str:
+    """The publish token of the manifest at ``index_dir`` as saved
+    now; "" when there is no manifest, it is another format version or
+    it records no token."""
+    try:
+        with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
+            d = json.load(f)
+    except FileNotFoundError:
+        return ""
+    return d.get("token", "") if d.get("version") == FORMAT_VERSION else ""
+
+
 @dataclass
 class Manifest:
     index_dir: str
@@ -44,6 +64,7 @@ class Manifest:
     stages: dict = field(default_factory=dict)   # name -> {"status", ...}
     groups: dict = field(default_factory=dict)   # str(group_id) -> entry
     stats: dict = field(default_factory=dict)    # num_docs, total_len, avgdl
+    token: str = ""                              # fresh on every save
 
     @property
     def path(self) -> str:
@@ -51,6 +72,7 @@ class Manifest:
 
     def save(self) -> None:
         os.makedirs(self.index_dir, exist_ok=True)
+        self.token = uuid.uuid4().hex
         payload = {
             "version": FORMAT_VERSION,
             "config": self.config,
@@ -60,6 +82,7 @@ class Manifest:
             "stages": self.stages,
             "groups": self.groups,
             "stats": self.stats,
+            "token": self.token,
             "saved_at": time.strftime("%Y-%m-%d %H:%M:%S"),
         }
         tmp = self.path + ".tmp"
@@ -90,6 +113,7 @@ class Manifest:
             stages=d.get("stages", {}),
             groups=d.get("groups", {}),
             stats=d.get("stats", {}),
+            token=d.get("token", ""),
         )
 
     # -- stage/group bookkeeping ------------------------------------

@@ -243,6 +243,38 @@ def test_masked_search_needs_group_ranges(ray_session, tmp_path):
     assert search(inter, MATCHING).num_rows > 0  # unmasked search serves it
 
 
+def test_compaction_refuses_to_swallow_a_group(ray_session, tmp_path):
+    """Groups [0, 100), [100, 200) and [200, 300): compacting 0 and 2
+    would give the span [0, 300), which covers group 1, and a later
+    delete would leave every search() raising on overlapping spans.  The
+    compaction refuses, naming group 1, and leaves the index as found;
+    compacting adjacent groups is fine."""
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+    from bm25_benchmarks_ray.state.manifest import Manifest
+
+    t = pq.read_table(SRC, columns=["doc_id", "text"]).slice(0, 300)
+    src = tmp_path / "src"
+    os.makedirs(src)
+    for i in range(3):
+        pq.write_table(t.slice(100 * i, 100), str(src / f"docs_{i}.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, IndexConfig(), mode="documents", n_groups=3)
+    before = Manifest.load(idx)
+    assert [(e["doc_lo"], e["doc_hi"]) for _, e in sorted(before.groups.items())] == [
+        (0, 100), (100, 200), (200, 300)]
+    with pytest.raises(ValueError, match=r"swallows group 1 \[100, 200\)"):
+        compact_index(idx, gids=[0, 2])
+    assert Manifest.load(idx).groups == before.groups
+    assert sorted(os.listdir(os.path.join(idx, "segments"))) == [
+        "group=0", "group=1", "group=2"]
+    delete_docs(idx, [5])
+    res = search(idx, MATCHING, join_back=False)
+    assert res.num_rows > 0 and 5 not in res.column("doc_id").to_pylist()
+    compact_index(idx, gids=[0, 1])
+    res2 = search(idx, MATCHING, join_back=False)
+    assert res2.equals(res)
+
+
 def test_holed_index_pads_no_invented_ids(ray_session, tmp_path):
     """A holed index whose ids are not [0, num_docs) (0..199 and
     1000..1199, num_docs 400) returns matched docs only: merge-side

@@ -80,6 +80,9 @@ def test_snippets_read_text_as_indexed(cased):
 
 
 def test_one_manifest_load_per_call(cased, monkeypatch):
+    """A cold call loads the manifest once; a call on an unchanged index
+    reuses the open handle and loads it not at all."""
+    from bm25_benchmarks_ray.pipelines import query
     from bm25_benchmarks_ray.pipelines.serve import BM25Server
 
     idx, docs = cased
@@ -100,9 +103,13 @@ def test_one_manifest_load_per_call(cased, monkeypatch):
         "snippet_topk": lambda: snippet_topk(idx, docs, [("q", "Ray")]),
     }
     for name, call in calls.items():
+        query._HANDLES.clear()
         loads.clear()
         call()
         assert len(loads) == 1, name
+        loads.clear()
+        call()
+        assert loads == [], name
     with BM25Server(idx) as srv:
         loads.clear()
         srv.search([("q", "Ray")])

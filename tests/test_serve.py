@@ -98,3 +98,113 @@ def test_warm_top_df(built):
         srv.warm_top_df(50)
         out = srv.search([("q", "data build")], k=3)
         assert len(out) == 3
+
+
+def _write_docs(path: str, lo: int, hi: int, seed: int = 17) -> None:
+    """Documents with ids [lo, hi), texts from one synthetic corpus."""
+    import numpy as np
+    import pyarrow as pa
+
+    text = synthesize_transcripts(hi, seed=seed).column("text").slice(lo, hi - lo)
+    pq.write_table(pa.table({"doc_id": pa.array(np.arange(lo, hi)), "text": text}),
+                   path)
+
+
+FOLLOW_Q = synthesize_queries(12, seed=9)
+KEY = ["qid", "rank"]
+COLS = ["qid", "doc_id", "rank", "score"]
+
+
+def _ranked(df: pd.DataFrame) -> pd.DataFrame:
+    return df[COLS].sort_values(KEY).reset_index(drop=True)
+
+
+def _fresh(root, files: list[str], deleted: list[int]) -> pd.DataFrame:
+    """search() on a fresh one-group build of ``files`` with ``deleted``
+    tombstoned."""
+    import shutil
+
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+
+    src = os.path.join(root, "fresh_src")
+    shutil.rmtree(src, ignore_errors=True)
+    os.makedirs(src)
+    for f in files:
+        shutil.copy(f, src)
+    idx = os.path.join(root, "fresh_idx")
+    build_index(src, idx, IndexConfig(), mode="documents", n_groups=1, fresh=True)
+    if deleted:
+        delete_docs(idx, deleted)
+    return _ranked(search(idx, FOLLOW_Q, k=10).to_pandas())
+
+
+@pytest.fixture()
+def two_groups(ray_session, tmp_path):
+    """A 300-doc documents index of two groups, [0, 150) and [150, 300),
+    and a third file of docs [300, 400) to append."""
+    src = tmp_path / "src"
+    os.makedirs(src)
+    files = [str(src / "docs_0.parquet"), str(src / "docs_1.parquet")]
+    _write_docs(files[0], 0, 150)
+    _write_docs(files[1], 150, 300)
+    more = tmp_path / "more"
+    os.makedirs(more)
+    extra = str(more / "docs_2.parquet")
+    _write_docs(extra, 300, 400)
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, IndexConfig(), mode="documents", n_groups=2)
+    return idx, files, extra, tmp_path
+
+
+def _served_matches(srv, idx, root, files, deleted) -> pd.DataFrame:
+    served = _ranked(srv.search(FOLLOW_Q, k=10))
+    pd.testing.assert_frame_equal(served, _ranked(search(idx, FOLLOW_Q, k=10).to_pandas()))
+    pd.testing.assert_frame_equal(served, _fresh(root, files, deleted))
+    return served
+
+
+def test_server_follows_delete(two_groups):
+    """A delete reaches an open server: the deleted doc leaves its
+    rankings, as it leaves search()'s (the server kept serving it)."""
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+
+    idx, files, _, root = two_groups
+    with BM25Server(idx) as srv:
+        before = _served_matches(srv, idx, root, files, [])
+        actors = list(srv.actors)
+        gone = int(before["doc_id"].iloc[0])
+        delete_docs(idx, [gone])
+        after = _served_matches(srv, idx, root, files, [gone])
+        assert gone not in set(after["doc_id"])
+        assert srv.actors == actors  # only the tombstones changed
+
+
+def test_server_follows_append(two_groups):
+    """Docs appended after the server opened rank in its answers."""
+    from bm25_benchmarks_ray.pipelines.index_build import append_index
+
+    idx, files, extra, root = two_groups
+    with BM25Server(idx) as srv:
+        _served_matches(srv, idx, root, files, [])
+        append_index(extra, idx)
+        after = _served_matches(srv, idx, root, files + [extra], [])
+        assert (after["doc_id"] >= 300).any()
+        assert len(srv.actors) == 3
+
+
+def test_server_follows_compact(two_groups):
+    """A delete then a compaction under an open server: its answers stay
+    those of a fresh build with the same delete (its actors held rows of
+    the replaced group files)."""
+    from bm25_benchmarks_ray.pipelines.index_build import compact_index
+    from bm25_benchmarks_ray.pipelines.tombstones import delete_docs
+
+    idx, files, _, root = two_groups
+    with BM25Server(idx) as srv:
+        before = _served_matches(srv, idx, root, files, [])
+        gone = int(before["doc_id"].iloc[0])
+        delete_docs(idx, [gone])
+        compact_index(idx)
+        after = _served_matches(srv, idx, root, files, [gone])
+        assert gone not in set(after["doc_id"])
+        assert len(srv.actors) == 1
